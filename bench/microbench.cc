@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "core/cluster.h"
 #include "fstree/generator.h"
+#include "fstree/path.h"
 #include "net/network.h"
 #include "sim/queue_server.h"
 #include "sim/simulation.h"
@@ -159,7 +160,7 @@ void BM_BTreeInsert(benchmark::State& state) {
     DirBTree tree(32);
     state.ResumeTiming();
     for (int i = 0; i < n; ++i) {
-      tree.insert("key" + std::to_string(i), DirRecord{1, 1, false},
+      tree.insert(numbered("key", i), DirRecord{1, 1, false},
                   nullptr);
     }
   }
@@ -170,7 +171,7 @@ BENCHMARK(BM_BTreeInsert)->Arg(1000)->Arg(10000);
 void BM_BTreeFind(benchmark::State& state) {
   DirBTree tree(32);
   for (int i = 0; i < 10000; ++i) {
-    tree.insert("key" + std::to_string(i), DirRecord{1, 1, false}, nullptr);
+    tree.insert(numbered("key", i), DirRecord{1, 1, false}, nullptr);
   }
   Rng rng(3);
   for (auto _ : state) {
@@ -188,7 +189,7 @@ void BM_CacheLookup(benchmark::State& state) {
   cache.insert(dir, InsertKind::kPrefix, true, 0);
   std::vector<InodeId> inos;
   for (int i = 0; i < 4000; ++i) {
-    FsNode* f = tree.create_file(dir, "f" + std::to_string(i));
+    FsNode* f = tree.create_file(dir, numbered("f", i));
     cache.insert(f, InsertKind::kDemand, true, 0);
     inos.push_back(f->ino());
   }
@@ -214,7 +215,7 @@ struct CacheBenchFixture {
     dir = tree.mkdir(tree.root(), "d");
     files.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-      files.push_back(tree.create_file(dir, "f" + std::to_string(i)));
+      files.push_back(tree.create_file(dir, numbered("f", i)));
     }
   }
 

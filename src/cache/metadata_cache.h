@@ -296,7 +296,7 @@ class MetadataCache {
     }
 
     void free(CacheSlot s) {
-      (*this)[s] = T{};  // reset to defaults for the next tenant
+      (*this)[s] = T();  // reset to defaults for the next tenant
       free_.push_back(s);
     }
 

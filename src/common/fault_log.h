@@ -156,11 +156,9 @@ class FaultLog {
       inc = nullptr;
     }
     if (inc == nullptr) {
-      OverloadIncident fresh;
-      fresh.node = node;
-      fresh.began_at = now;
-      overloads_.push_back(fresh);
-      inc = &overloads_.back();
+      inc = &overloads_.emplace_back();
+      inc->node = node;
+      inc->began_at = now;
     }
     inc->last_shed_at = now;
     ++inc->sheds;

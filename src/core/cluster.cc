@@ -10,111 +10,16 @@ ClusterSim::ClusterSim(SimConfig config) : config_(std::move(config)) {}
 ClusterSim::~ClusterSim() = default;
 
 void ClusterSim::build() {
-  if (built_) return;
-  built_ = true;
+  if (cell_) return;
+  cell_ = std::make_unique<Cell>(sim_, config_);
+  Cell& cell = *cell_;
 
-  // --- namespace -----------------------------------------------------------
-  ns_info_ = generate_namespace(tree_, config_.fs);
-
-  // --- shared substrates -----------------------------------------------------
-  NetworkParams net_params = config_.net;
-  net_params.seed = config_.seed;
-  net_ = std::make_unique<Network>(sim_, net_params);
-  partition_ = make_partitioner(config_.strategy, config_.num_mds, tree_);
-  dirfrag_ = std::make_unique<DirFragRegistry>(config_.num_mds,
-                                               config_.mds.giga_max_depth);
-  if (config_.strategy == StrategyKind::kLazyHybrid) {
-    lazy_ = std::make_unique<LazyHybridManager>(tree_);
-  }
-
-  // Figure 4 knob: cache capacity as a fraction of total metadata.
-  MdsParams mds_params = config_.mds;
-  if (config_.cache_fraction > 0.0) {
-    const double total = static_cast<double>(tree_.node_count());
-    const double per_node =
-        total * config_.cache_fraction / config_.num_mds;
-    mds_params.cache_capacity =
-        std::max<std::size_t>(64, static_cast<std::size_t>(per_node));
-    mds_params.journal_capacity = mds_params.cache_capacity;
-  }
-
-  StrategyTraits traits = traits_for(config_.strategy);
-  if (config_.force_whole_dir_io == 0) traits.whole_directory_io = false;
-  if (config_.force_whole_dir_io == 1) traits.whole_directory_io = true;
-
-  ctx_ = std::make_unique<ClusterContext>(ClusterContext{
-      sim_, *net_, tree_, store_, *partition_, *dirfrag_, anchors_,
-      lazy_.get(), traits, mds_params, config_.num_mds, &fault_log_, {}});
-
-  // --- MDS nodes (network addresses == MdsIds, attached first) -----------
-  mds_nodes_.reserve(static_cast<std::size_t>(config_.num_mds));
-  for (MdsId i = 0; i < config_.num_mds; ++i) {
-    auto node = std::make_unique<MdsNode>(*ctx_, i);
-    const NetAddr addr = net_->attach(node.get());
-    assert(addr == i);
-    (void)addr;
-    ctx_->nodes.push_back(node.get());
-    mds_nodes_.push_back(std::move(node));
-  }
-  for (auto& node : mds_nodes_) node->bootstrap();
-
-  // --- workload ----------------------------------------------------------
-  switch (config_.workload) {
-    case WorkloadKind::kGeneral: {
-      auto homes = ns_info_.user_roots;
-      workload_ = std::make_unique<GeneralWorkload>(
-          tree_, std::move(homes), OpMix::general_purpose(),
-          config_.general);
-      break;
-    }
-    case WorkloadKind::kScientific: {
-      std::vector<FsNode*> runs;
-      for (FsNode* proj : ns_info_.project_roots) {
-        for (const auto& [_, child] : proj->children()) {
-          if (child->is_dir()) runs.push_back(child.get());
-        }
-      }
-      if (runs.empty()) runs = ns_info_.user_roots;  // degenerate config
-      workload_ = std::make_unique<ScientificWorkload>(
-          tree_, std::move(runs), config_.scientific);
-      break;
-    }
-    case WorkloadKind::kFlashCrowd: {
-      // A deterministic, unremarkable file: the crowd's shared target.
-      assert(!tree_.files().empty());
-      FsNode* target =
-          tree_.files()[config_.seed % tree_.files().size()];
-      auto fc = std::make_unique<FlashCrowdWorkload>(tree_, target,
-                                                     config_.flash);
-      if (config_.flash.base_think > 0) {
-        // Background pool for the spike-on-baseline shape: every file in
-        // the namespace (ownership stays with the tree).
-        fc->set_background(tree_.files());
-      }
-      workload_ = std::move(fc);
-      break;
-    }
-    case WorkloadKind::kShifting: {
-      auto* subtree = dynamic_cast<SubtreePartition*>(partition_.get());
-      assert(subtree != nullptr &&
-             "shifting workload requires a subtree strategy");
-      ShiftingWorkloadParams sp = config_.shifting;
-      sp.base = config_.general;
-      workload_ = make_shifting_workload(tree_, ns_info_.user_roots,
-                                         *subtree, sp);
-      break;
-    }
-  }
-
-  // --- clients -------------------------------------------------------------
-  if (config_.trace.enabled) {
-    tracer_ = std::make_unique<TraceCollector>(config_.trace.slowest_n);
-  }
   clients_.reserve(static_cast<std::size_t>(config_.num_clients));
+  std::vector<ClientStats*> stats;
   for (ClientId c = 0; c < config_.num_clients; ++c) {
     clients_.push_back(std::make_unique<Client>(
-        sim_, *net_, tree_, *workload_, *partition_, *dirfrag_, c,
-        config_.num_mds, config_.seed));
+        sim_, *cell.net, cell.tree, *cell.workload, *cell.partition,
+        *cell.dirfrag, c, config_.num_mds, config_.seed));
     // Align each client with the user whose home it primarily works in,
     // so permission checks reflect ownership.
     if (config_.fs.num_users > 0) {
@@ -123,18 +28,10 @@ void ClusterSim::build() {
     }
     clients_.back()->set_retry_policy(config_.client_retry);
     clients_.back()->set_hedge_policy(config_.hedge);
-    clients_.back()->set_tracer(tracer_.get());
+    clients_.back()->set_tracer(cell.tracer.get());
+    stats.push_back(&clients_.back()->stats());
   }
-
-  // --- metrics -------------------------------------------------------------
-  std::vector<MdsNode*> node_ptrs;
-  for (auto& n : mds_nodes_) node_ptrs.push_back(n.get());
-  std::vector<Client*> client_ptrs;
-  for (auto& c : clients_) client_ptrs.push_back(c.get());
-  metrics_ = std::make_unique<Metrics>(std::move(node_ptrs),
-                                       std::move(client_ptrs), &sim_);
-  metrics_->set_fault_log(&fault_log_);
-  metrics_->set_trace(tracer_.get());
+  cell.measure(std::move(stats));
 }
 
 void ClusterSim::run_until(SimTime t) {
@@ -144,14 +41,11 @@ void ClusterSim::run_until(SimTime t) {
     for (auto& c : clients_) c->start();
     sim_.every(config_.sample_period, config_.sample_period,
                [this]() {
-                 metrics_->sample(sim_.now());
+                 metrics().sample(sim_.now());
                  return true;
                });
     if (config_.warmup > 0) {
-      sim_.schedule(config_.warmup, [this]() {
-        metrics_->reset(sim_.now());
-        net_->reset_counters();
-      });
+      sim_.schedule(config_.warmup, [this]() { cell_->reset_window(); });
     }
   }
   sim_.run_until(t);
@@ -162,38 +56,35 @@ void ClusterSim::run() { run_until(config_.duration); }
 void ClusterSim::fail_mds(MdsId failed, bool warm_takeover) {
   build();
   assert(failed >= 0 && failed < config_.num_mds && config_.num_mds > 1);
-  ctx_->params.warm_takeover = warm_takeover;
+  cell_->ctx->params.warm_takeover = warm_takeover;
   MdsNode& dead = mds(failed);
   dead.set_failed(true);
-  net_->set_down(failed, true);
-  fault_log_.note_crash(failed, sim_.now());
+  network().set_down(failed, true);
+  fault_log().note_crash(failed, sim_.now());
 
   // Strategies that exchange balancer heartbeats detect the crash
   // themselves: the node simply goes silent, survivors declare it dead
   // after heartbeat_miss_threshold missed periods, and the lowest live id
   // performs the takeover (recovery.cc). Nothing more to do here — the
   // unavailability window between crash and takeover is the measurement.
-  if (traits_for(config_.strategy).load_balancing &&
-      ctx_->params.failure_detection) {
-    return;
-  }
+  if (traits_for(config_.strategy).load_balancing) return;
 
-  // No heartbeats (hashed / static strategies) or detection disabled:
-  // apply the redistribution directly, as an external monitor would.
+  // No heartbeats (hashed / static strategies): apply the redistribution
+  // directly, as an external monitor would.
   std::vector<MdsId> survivors;
-  dirfrag_->set_node_alive(failed, false);
+  dirfrag().set_node_alive(failed, false);
   for (MdsId i = 0; i < config_.num_mds; ++i) {
     if (i == failed || mds(i).failed()) continue;
     survivors.push_back(i);
     mds(i).mark_peer_down(failed);
   }
   assert(!survivors.empty());
-  fault_log_.note_detection(failed, survivors.front(), sim_.now());
+  fault_log().note_detection(failed, survivors.front(), sim_.now());
 
   // Subtree strategies re-delegate; hashed placements would re-map their
   // hash ranges, which is exactly the expansion/contraction weakness the
   // paper describes — out of scope.
-  auto* subtree = dynamic_cast<SubtreePartition*>(partition_.get());
+  auto* subtree = dynamic_cast<SubtreePartition*>(&partition());
   std::vector<MdsId> takeover_nodes;
   if (subtree != nullptr) {
     std::size_t rr = 0;
@@ -202,13 +93,13 @@ void ClusterSim::fail_mds(MdsId failed, bool warm_takeover) {
       subtree->delegate(root, heir);
       takeover_nodes.push_back(heir);
     }
-    if (subtree->authority_of(tree_.root()) == failed) {
-      subtree->delegate(tree_.root(), survivors.front());
+    if (subtree->authority_of(tree().root()) == failed) {
+      subtree->delegate(tree().root(), survivors.front());
       takeover_nodes.push_back(survivors.front());
     }
   }
   if (takeover_nodes.empty()) takeover_nodes.push_back(survivors.front());
-  fault_log_.note_takeover(failed, sim_.now());
+  fault_log().note_takeover(failed, sim_.now());
 
   if (warm_takeover) {
     // The failed node's journal lives on shared storage: every takeover
@@ -229,9 +120,9 @@ void ClusterSim::set_fail_slow(MdsId node, double cpu_mult, double disk_mult) {
   assert(node >= 0 && node < config_.num_mds);
   mds(node).set_fail_slow(cpu_mult, disk_mult);
   if (cpu_mult != 1.0 || disk_mult != 1.0) {
-    fault_log_.note_fail_slow(node, sim_.now());
+    fault_log().note_fail_slow(node, sim_.now());
   } else {
-    fault_log_.note_fail_slow_cleared(node, sim_.now());
+    fault_log().note_fail_slow_cleared(node, sim_.now());
   }
 }
 
@@ -240,22 +131,21 @@ void ClusterSim::recover_mds(MdsId node) {
   MdsNode& n = mds(node);
   assert(n.failed());
   n.set_failed(false);
-  net_->set_down(node, false);
-  fault_log_.note_restart(node, sim_.now());
+  network().set_down(node, false);
+  fault_log().note_restart(node, sim_.now());
   // Journal replay + cache warm-up with real disk latency; serving
   // resumes immediately, recovering() clears when the replay lands.
   n.restart();
 
-  if (traits_for(config_.strategy).load_balancing &&
-      ctx_->params.failure_detection) {
+  if (traits_for(config_.strategy).load_balancing) {
     return;  // peers mark it up when its heartbeats resume
   }
-  dirfrag_->set_node_alive(node, true);
+  dirfrag().set_node_alive(node, true);
   for (MdsId i = 0; i < config_.num_mds; ++i) {
     if (i == node || mds(i).failed()) continue;
     mds(i).mark_peer_up(node);
   }
-  fault_log_.note_marked_up(node, sim_.now());
+  fault_log().note_marked_up(node, sim_.now());
 }
 
 }  // namespace mdsim

@@ -1,18 +1,13 @@
-// Cluster builder and run driver: wires the ground-truth namespace, the
-// shared substrates (object store, partition, anchors, dirfrag, network),
-// the MDS nodes, the workload, and the client population, then runs the
-// simulation while sampling metrics.
+// Single-engine cluster: one Cell (namespace, substrates, MDS group,
+// workload, metrics) plus one Client per client, run while sampling
+// metrics, with the fault-injection API the figures and benches drive.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "client/client.h"
-#include "common/fault_log.h"
-#include "core/config.h"
-#include "core/metrics.h"
-#include "mds/mds_node.h"
-#include "workload/workload.h"
+#include "core/cell.h"
 
 namespace mdsim {
 
@@ -51,50 +46,38 @@ class ClusterSim {
 
   /// Failure-lifecycle incident log (crash / detection / takeover /
   /// restart / rejoin timestamps for every injected fault).
-  FaultLog& fault_log() { return fault_log_; }
+  FaultLog& fault_log() { return cell_->fault_log; }
 
   const SimConfig& config() const { return config_; }
   Simulation& sim() { return sim_; }
-  FsTree& tree() { return tree_; }
-  Network& network() { return *net_; }
-  Partitioner& partition() { return *partition_; }
-  DirFragRegistry& dirfrag() { return *dirfrag_; }
-  ObjectStore& object_store() { return store_; }
-  AnchorTable& anchors() { return anchors_; }
-  LazyHybridManager* lazy() { return lazy_.get(); }
-  Workload& workload() { return *workload_; }
-  const NamespaceInfo& namespace_info() const { return ns_info_; }
+  FsTree& tree() { return cell_->tree; }
+  Network& network() { return *cell_->net; }
+  Partitioner& partition() { return *cell_->partition; }
+  DirFragRegistry& dirfrag() { return *cell_->dirfrag; }
+  ObjectStore& object_store() { return cell_->store; }
+  AnchorTable& anchors() { return cell_->anchors; }
+  LazyHybridManager* lazy() { return cell_->lazy.get(); }
+  Workload& workload() { return *cell_->workload; }
+  const NamespaceInfo& namespace_info() const { return cell_->ns_info; }
 
-  MdsNode& mds(int i) { return *mds_nodes_[static_cast<std::size_t>(i)]; }
+  MdsNode& mds(int i) {
+    return *cell_->mds_nodes[static_cast<std::size_t>(i)];
+  }
   int num_mds() const { return config_.num_mds; }
   Client& client(int i) { return *clients_[static_cast<std::size_t>(i)]; }
   int num_clients() const { return static_cast<int>(clients_.size()); }
 
-  Metrics& metrics() { return *metrics_; }
+  Metrics& metrics() { return *cell_->metrics; }
   /// Per-request trace collector; null unless config.trace.enabled.
-  TraceCollector* tracer() { return tracer_.get(); }
+  TraceCollector* tracer() { return cell_->tracer.get(); }
 
  private:
   void build();
 
   SimConfig config_;
   Simulation sim_;
-  FsTree tree_;
-  NamespaceInfo ns_info_;
-  ObjectStore store_;
-  AnchorTable anchors_;
-  std::unique_ptr<Network> net_;
-  std::unique_ptr<Partitioner> partition_;
-  std::unique_ptr<DirFragRegistry> dirfrag_;
-  std::unique_ptr<LazyHybridManager> lazy_;
-  std::unique_ptr<ClusterContext> ctx_;
-  std::vector<std::unique_ptr<MdsNode>> mds_nodes_;
-  std::unique_ptr<Workload> workload_;
+  std::unique_ptr<Cell> cell_;  // built lazily, on first use
   std::vector<std::unique_ptr<Client>> clients_;
-  std::unique_ptr<Metrics> metrics_;
-  std::unique_ptr<TraceCollector> tracer_;
-  FaultLog fault_log_;
-  bool built_ = false;
   bool started_ = false;
 };
 

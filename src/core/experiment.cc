@@ -8,6 +8,22 @@
 
 namespace mdsim {
 
+RunResult summarize(const SimConfig& config,
+                    const std::vector<const Metrics*>& cells, SimTime now) {
+  Metrics::Totals t;
+  for (const Metrics* m : cells) m->add_totals(t);
+  RunResult r;
+  r.config = config;
+  r.avg_mds_throughput = t.avg_mds_throughput(now);
+  r.hit_rate = t.hit_rate();
+  r.prefix_fraction = t.prefix_fraction();
+  r.forward_fraction = t.forward_fraction();
+  r.mean_latency_ms = t.latency.mean() * 1e3;
+  r.replies = t.replies;
+  r.failures = t.failures;
+  return r;
+}
+
 RunResult run_one(const SimConfig& config,
                   const std::function<void(ClusterSim&)>& inspect) {
   if (config.shards > 1) {
@@ -19,18 +35,7 @@ RunResult run_one(const SimConfig& config,
   }
   ClusterSim cluster(config);
   cluster.run();
-
-  RunResult r;
-  r.config = config;
-  Metrics& m = cluster.metrics();
-  const SimTime now = cluster.sim().now();
-  r.avg_mds_throughput = m.avg_mds_throughput(now);
-  r.hit_rate = m.cluster_hit_rate();
-  r.prefix_fraction = m.mean_prefix_fraction();
-  r.forward_fraction = m.overall_forward_fraction();
-  r.mean_latency_ms = m.client_latency().mean() * 1e3;
-  r.replies = m.total_replies();
-  r.failures = m.total_failures();
+  RunResult r = summarize(config, {&cluster.metrics()}, cluster.sim().now());
   if (inspect) inspect(cluster);
   return r;
 }

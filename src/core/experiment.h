@@ -22,6 +22,11 @@ struct RunResult {
   std::uint64_t failures = 0;
 };
 
+/// Summarize a run at `now` from the metrics of its cells, in cell order:
+/// integer counts are summed across cells before anything is divided.
+RunResult summarize(const SimConfig& config,
+                    const std::vector<const Metrics*>& cells, SimTime now);
+
 /// Run one configured simulation to completion and summarize it. With
 /// config.shards > 1 the run uses the sharded parallel engine
 /// (core/sharded_cluster.h); `inspect` hooks are single-cluster only.

@@ -8,27 +8,28 @@
 
 namespace mdsim {
 
-Metrics::Metrics(std::vector<MdsNode*> nodes, std::vector<Client*> clients,
+Metrics::Metrics(std::vector<MdsNode*> nodes,
+                 std::vector<ClientStats*> clients,
                  const Simulation* sim)
     : nodes_(std::move(nodes)), clients_(std::move(clients)), sim_(sim) {
   mds_tput_.resize(nodes_.size());
   mds_health_.resize(nodes_.size());
-  base_replies_.assign(nodes_.size(), 0);
-  base_forwards_.assign(nodes_.size(), 0);
-  base_requests_.assign(nodes_.size(), 0);
-  base_failures_.assign(nodes_.size(), 0);
-  base_hits_.assign(nodes_.size(), 0);
-  base_misses_.assign(nodes_.size(), 0);
-  base_sheds_.assign(nodes_.size(), 0);
-  base_rejects_.assign(nodes_.size(), 0);
+  base_.resize(nodes_.size());
 }
 
-namespace {
-std::uint64_t sheds_of(const MdsStats& s) {
-  return s.requests_shed_queue + s.requests_shed_admission +
-         s.requests_shed_deadline;
+Metrics::Counts Metrics::counts_of(MdsNode& node) {
+  const MdsStats& s = node.stats();
+  const CacheStats& c = node.cache().stats();
+  return Counts{s.replies_sent,
+                s.forwards,
+                s.requests_received,
+                s.failures,
+                c.hits,
+                c.misses,
+                s.requests_shed_queue + s.requests_shed_admission +
+                    s.requests_shed_deadline,
+                s.rejects_sent};
 }
-}  // namespace
 
 void Metrics::sample(SimTime now) {
   double sum = 0.0;
@@ -75,14 +76,7 @@ void Metrics::reset(SimTime now) {
   reset_at_ = now;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     MdsStats& s = nodes_[i]->stats();
-    base_replies_[i] = s.replies_sent;
-    base_forwards_[i] = s.forwards;
-    base_requests_[i] = s.requests_received;
-    base_failures_[i] = s.failures;
-    base_hits_[i] = nodes_[i]->cache().stats().hits;
-    base_misses_[i] = nodes_[i]->cache().stats().misses;
-    base_sheds_[i] = sheds_of(s);
-    base_rejects_[i] = s.rejects_sent;
+    base_[i] = counts_of(*nodes_[i]);
     s.reply_rate.sample(now);
     s.forward_rate.sample(now);
     s.request_rate.sample(now);
@@ -90,42 +84,64 @@ void Metrics::reset(SimTime now) {
     s.shed_rate.sample(now);
     nodes_[i]->reset_cpu_depth_stats(now);
   }
-  for (Client* c : clients_) {
-    c->stats().latency_seconds = Summary{};
-  }
+  for (ClientStats* c : clients_) c->latency_seconds = Summary{};
   // Warmup traces are dropped together with the latency Summaries they
   // reconcile against.
   if (trace_ != nullptr) trace_->reset();
 }
 
-double Metrics::avg_mds_throughput(SimTime now) const {
-  if (nodes_.empty() || now <= reset_at_) return 0.0;
-  const double secs = to_seconds(now - reset_at_);
-  double total = 0.0;
+void Metrics::add_totals(Totals& t) const {
+  t.since = reset_at_;
+  t.nodes += nodes_.size();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    total += static_cast<double>(nodes_[i]->stats().replies_sent -
-                                 base_replies_[i]);
+    const Counts now = counts_of(*nodes_[i]);
+    const Counts& base = base_[i];
+    t.replies += now.replies - base.replies;
+    t.forwards += now.forwards - base.forwards;
+    t.requests += now.requests - base.requests;
+    t.failures += now.failures - base.failures;
+    t.hits += now.hits - base.hits;
+    t.misses += now.misses - base.misses;
+    t.sheds += now.sheds - base.sheds;
+    t.rejects += now.rejects - base.rejects;
+    t.prefix_sum += nodes_[i]->cache().prefix_fraction();
   }
-  return total / secs / static_cast<double>(nodes_.size());
+  for (const ClientStats* c : clients_) t.latency.merge(c->latency_seconds);
 }
 
-double Metrics::cluster_hit_rate() const {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    hits += nodes_[i]->cache().stats().hits - base_hits_[i];
-    misses += nodes_[i]->cache().stats().misses - base_misses_[i];
-  }
+double Metrics::Totals::avg_mds_throughput(SimTime now) const {
+  if (nodes == 0 || now <= since) return 0.0;
+  return static_cast<double>(replies) / to_seconds(now - since) /
+         static_cast<double>(nodes);
+}
+
+double Metrics::Totals::hit_rate() const {
   const std::uint64_t total = hits + misses;
   return total > 0 ? static_cast<double>(hits) / static_cast<double>(total)
                    : 0.0;
 }
 
+double Metrics::Totals::prefix_fraction() const {
+  return nodes > 0 ? prefix_sum / static_cast<double>(nodes) : 0.0;
+}
+
+double Metrics::Totals::forward_fraction() const {
+  // Forwarded arrivals are re-counted as received; normalize by original
+  // client submissions.
+  const std::uint64_t original = requests > forwards ? requests - forwards : 0;
+  return original > 0
+             ? static_cast<double>(forwards) / static_cast<double>(original)
+             : 0.0;
+}
+
+double Metrics::avg_mds_throughput(SimTime now) const {
+  return totals().avg_mds_throughput(now);
+}
+
+double Metrics::cluster_hit_rate() const { return totals().hit_rate(); }
+
 double Metrics::mean_prefix_fraction() const {
-  if (nodes_.empty()) return 0.0;
-  double sum = 0.0;
-  for (MdsNode* n : nodes_) sum += n->cache().prefix_fraction();
-  return sum / static_cast<double>(nodes_.size());
+  return totals().prefix_fraction();
 }
 
 double Metrics::mean_cache_fill() const {
@@ -139,75 +155,36 @@ double Metrics::mean_cache_fill() const {
 }
 
 double Metrics::overall_forward_fraction() const {
-  std::uint64_t fwd = 0;
-  std::uint64_t req = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    fwd += nodes_[i]->stats().forwards - base_forwards_[i];
-    req += nodes_[i]->stats().requests_received - base_requests_[i];
-  }
-  // Forwarded arrivals are re-counted as received; normalize by original
-  // client submissions.
-  const std::uint64_t original = req > fwd ? req - fwd : 0;
-  return original > 0
-             ? static_cast<double>(fwd) / static_cast<double>(original)
-             : 0.0;
+  return totals().forward_fraction();
 }
 
-Summary Metrics::client_latency() const {
-  Summary s;
-  for (Client* c : clients_) s.merge(c->stats().latency_seconds);
-  return s;
-}
+Summary Metrics::client_latency() const { return totals().latency; }
+
+std::uint64_t Metrics::total_replies() const { return totals().replies; }
+
+std::uint64_t Metrics::total_failures() const { return totals().failures; }
 
 std::uint64_t Metrics::total_hedges_fired() const {
   std::uint64_t total = 0;
-  for (Client* c : clients_) total += c->stats().hedges_fired;
+  for (const ClientStats* c : clients_) total += c->hedges_fired;
   return total;
 }
 
 std::uint64_t Metrics::total_hedge_wins() const {
   std::uint64_t total = 0;
-  for (Client* c : clients_) total += c->stats().hedge_wins;
+  for (const ClientStats* c : clients_) total += c->hedge_wins;
   return total;
 }
 
 std::uint64_t Metrics::total_wasted_hedges() const {
   std::uint64_t total = 0;
-  for (Client* c : clients_) total += c->stats().wasted_hedges;
+  for (const ClientStats* c : clients_) total += c->wasted_hedges;
   return total;
 }
 
-std::uint64_t Metrics::total_replies() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    total += nodes_[i]->stats().replies_sent - base_replies_[i];
-  }
-  return total;
-}
+std::uint64_t Metrics::total_sheds() const { return totals().sheds; }
 
-std::uint64_t Metrics::total_failures() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    total += nodes_[i]->stats().failures - base_failures_[i];
-  }
-  return total;
-}
-
-std::uint64_t Metrics::total_sheds() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    total += sheds_of(nodes_[i]->stats()) - base_sheds_[i];
-  }
-  return total;
-}
-
-std::uint64_t Metrics::total_rejects() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    total += nodes_[i]->stats().rejects_sent - base_rejects_[i];
-  }
-  return total;
-}
+std::uint64_t Metrics::total_rejects() const { return totals().rejects; }
 
 std::size_t Metrics::cpu_queue_highwater() const {
   std::size_t hw = 0;

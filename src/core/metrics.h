@@ -15,11 +15,13 @@
 namespace mdsim {
 
 class MdsNode;
-class Client;
+struct ClientStats;
 
 class Metrics {
  public:
-  Metrics(std::vector<MdsNode*> nodes, std::vector<Client*> clients,
+  /// `clients` are the stats of whatever issues the load: one per Client,
+  /// or one per ClientCohort.
+  Metrics(std::vector<MdsNode*> nodes, std::vector<ClientStats*> clients,
           const Simulation* sim = nullptr);
 
   /// Take one sample (called by the cluster on its sampling cadence).
@@ -48,6 +50,34 @@ class Metrics {
   const TimeSeries& degraded_nodes() const { return degraded_nodes_; }
 
   // --- end-of-run aggregates ----------------------------------------------
+  /// MDS-side counters of one node, or summed over nodes.
+  struct Counts {
+    std::uint64_t replies = 0, forwards = 0, requests = 0, failures = 0;
+    std::uint64_t hits = 0, misses = 0, sheds = 0, rejects = 0;
+  };
+  /// Post-reset totals over one or more MDS groups and their clients.
+  /// Counts stay integers and the two order-sensitive sums keep node and
+  /// client order, so totals merged across cells before dividing give
+  /// the same doubles as one cell holding every node and client.
+  struct Totals : Counts {
+    SimTime since = 0;  // the (shared) last reset
+    std::size_t nodes = 0;
+    double prefix_sum = 0.0;  // per-node prefix fractions, summed in order
+    Summary latency;          // client latencies, merged in order
+
+    double avg_mds_throughput(SimTime now) const;
+    double hit_rate() const;
+    double prefix_fraction() const;
+    double forward_fraction() const;
+  };
+  /// Add this group's post-reset totals to `t`.
+  void add_totals(Totals& t) const;
+  Totals totals() const {
+    Totals t;
+    add_totals(t);
+    return t;
+  }
+
   /// Mean per-MDS throughput since the last reset (figure 2's y-axis).
   double avg_mds_throughput(SimTime now) const;
   /// Aggregate cache hit rate across nodes since the last reset (fig 4).
@@ -74,13 +104,6 @@ class Metrics {
   /// since the last reset; `cpu_queue_depth()` alone is instantaneous).
   std::size_t cpu_queue_highwater() const;
   double mean_cpu_queue_depth(SimTime now) const;
-
-  /// Event-engine health: schedule/fire/cancel volume and InlineTask
-  /// heap-fallback count (nonzero fallbacks on a hot path means an
-  /// oversized capture list re-introduced per-event allocations).
-  Simulation::Counters engine_counters() const {
-    return sim_ != nullptr ? sim_->counters() : Simulation::Counters{};
-  }
 
   // --- latency attribution -------------------------------------------------
   /// Attach the per-request trace collector (null when tracing is off).
@@ -134,7 +157,7 @@ class Metrics {
   }
 
   std::vector<MdsNode*> nodes_;
-  std::vector<Client*> clients_;
+  std::vector<ClientStats*> clients_;
   const Simulation* sim_ = nullptr;
   const FaultLog* faults_ = nullptr;
   TraceCollector* trace_ = nullptr;
@@ -150,15 +173,10 @@ class Metrics {
   std::vector<TimeSeries> mds_health_;
   TimeSeries degraded_nodes_;
 
+  static Counts counts_of(MdsNode& node);
+
   SimTime reset_at_ = 0;
-  std::vector<std::uint64_t> base_replies_;
-  std::vector<std::uint64_t> base_forwards_;
-  std::vector<std::uint64_t> base_requests_;
-  std::vector<std::uint64_t> base_failures_;
-  std::vector<std::uint64_t> base_hits_;
-  std::vector<std::uint64_t> base_misses_;
-  std::vector<std::uint64_t> base_sheds_;
-  std::vector<std::uint64_t> base_rejects_;
+  std::vector<Counts> base_;  // per node, at the last reset
 };
 
 }  // namespace mdsim

@@ -3,34 +3,14 @@
 #include <algorithm>
 #include <cassert>
 
-#include "workload/flash_crowd.h"
-#include "workload/general.h"
-#include "workload/op_mix.h"
-#include "workload/scientific.h"
-#include "workload/shifting.h"
-
 namespace mdsim {
-
-namespace {
-
-/// Even split with the remainder spread over the first shards.
-int split(int total, int shards, int i) {
-  return total / shards + (i < total % shards ? 1 : 0);
-}
-
-/// Decorrelate per-shard seeds without losing determinism.
-std::uint64_t shard_seed(std::uint64_t seed, int s) {
-  return seed + static_cast<std::uint64_t>(s) * 0x9e3779b97f4a7c15ULL;
-}
-
-}  // namespace
 
 void ShardedClusterSim::Fabric::deliver(NetAddr global_from,
                                         NetAddr global_to, SimTime when,
                                         MessagePtr msg) {
   const int from = shard_of_addr(global_from);
   const int to = shard_of_addr(global_to);
-  Network* net = owner->shards_[static_cast<std::size_t>(to)]->net.get();
+  Network* net = owner->shards_[static_cast<std::size_t>(to)].cell->net.get();
   owner->engine_.post(
       from, to, when,
       InlineTask([net, global_from, global_to,
@@ -51,131 +31,6 @@ ShardedClusterSim::ShardedClusterSim(SimConfig config)
 
 ShardedClusterSim::~ShardedClusterSim() = default;
 
-void ShardedClusterSim::build_shard(int s) {
-  const int S = engine_.shard_count();
-  Shard& sh = *shards_[static_cast<std::size_t>(s)];
-  Simulation& sim = engine_.shard(s);
-
-  // Per-shard slice of the global system: its own tree over its share of
-  // the users, its share of the MDS group and client base. Distinct
-  // namespace seeds keep the shard trees distinct populations rather than
-  // S copies of one tree.
-  NamespaceParams fs = config_.fs;
-  fs.num_users = std::max(1, split(config_.fs.num_users, S, s));
-  fs.seed = shard_seed(config_.fs.seed, s);
-  sh.ns_info = generate_namespace(sh.tree, fs);
-
-  NetworkParams np = config_.net;
-  np.seed = shard_seed(config_.seed, s);
-  sh.net = std::make_unique<Network>(sim, np);
-  sh.net->set_shard(s, &fabric_);
-
-  const int mds_count = std::max(1, split(config_.num_mds, S, s));
-  sh.partition = make_partitioner(config_.strategy, mds_count, sh.tree);
-  sh.dirfrag =
-      std::make_unique<DirFragRegistry>(mds_count, config_.mds.giga_max_depth);
-  if (config_.strategy == StrategyKind::kLazyHybrid) {
-    sh.lazy = std::make_unique<LazyHybridManager>(sh.tree);
-  }
-
-  MdsParams mds_params = config_.mds;
-  if (config_.cache_fraction > 0.0) {
-    const double total = static_cast<double>(sh.tree.node_count());
-    const double per_node = total * config_.cache_fraction / mds_count;
-    mds_params.cache_capacity =
-        std::max<std::size_t>(64, static_cast<std::size_t>(per_node));
-    mds_params.journal_capacity = mds_params.cache_capacity;
-  }
-
-  StrategyTraits traits = traits_for(config_.strategy);
-  if (config_.force_whole_dir_io == 0) traits.whole_directory_io = false;
-  if (config_.force_whole_dir_io == 1) traits.whole_directory_io = true;
-
-  sh.ctx = std::make_unique<ClusterContext>(ClusterContext{
-      sim, *sh.net, sh.tree, sh.store, *sh.partition, *sh.dirfrag,
-      sh.anchors, sh.lazy.get(), traits, mds_params, mds_count,
-      &sh.fault_log, {}});
-
-  sh.mds_nodes.reserve(static_cast<std::size_t>(mds_count));
-  for (MdsId i = 0; i < mds_count; ++i) {
-    auto node = std::make_unique<MdsNode>(*sh.ctx, i);
-    const NetAddr addr = sh.net->attach(node.get());
-    assert(addr == i);
-    (void)addr;
-    sh.ctx->nodes.push_back(node.get());
-    sh.mds_nodes.push_back(std::move(node));
-  }
-  for (auto& node : sh.mds_nodes) node->bootstrap();
-
-  // Mirror ClusterSim's workload wiring, applied per shard: each shard's
-  // workload draws targets from that shard's own tree (flash-crowd target,
-  // shift destinations and all), so an S-shard run behaves like S
-  // correlated instances of the legacy scenario.
-  switch (config_.workload) {
-    case WorkloadKind::kGeneral:
-      sh.workload = std::make_unique<GeneralWorkload>(
-          sh.tree, sh.ns_info.user_roots, OpMix::general_purpose(),
-          config_.general);
-      break;
-    case WorkloadKind::kScientific: {
-      std::vector<FsNode*> runs;
-      for (FsNode* proj : sh.ns_info.project_roots) {
-        for (const auto& [_, child] : proj->children()) {
-          if (child->is_dir()) runs.push_back(child.get());
-        }
-      }
-      if (runs.empty()) runs = sh.ns_info.user_roots;  // degenerate config
-      sh.workload = std::make_unique<ScientificWorkload>(
-          sh.tree, std::move(runs), config_.scientific);
-      break;
-    }
-    case WorkloadKind::kFlashCrowd: {
-      // One crowd target per shard, picked by the shard-decorrelated seed
-      // so the S crowds hit distinct (but deterministic) files.
-      assert(!sh.tree.files().empty());
-      FsNode* target = sh.tree.files()[shard_seed(config_.seed, s) %
-                                       sh.tree.files().size()];
-      sh.workload = std::make_unique<FlashCrowdWorkload>(sh.tree, target,
-                                                         config_.flash);
-      break;
-    }
-    case WorkloadKind::kShifting: {
-      auto* subtree = dynamic_cast<SubtreePartition*>(sh.partition.get());
-      assert(subtree != nullptr &&
-             "shifting workload requires a subtree strategy");
-      ShiftingWorkloadParams sp = config_.shifting;
-      sp.base = config_.general;
-      sh.workload = make_shifting_workload(sh.tree, sh.ns_info.user_roots,
-                                           *subtree, sp);
-      break;
-    }
-  }
-
-  if (config_.trace.enabled) {
-    sh.tracer = std::make_unique<TraceCollector>(config_.trace.slowest_n);
-  }
-
-  const int clients = std::max(1, split(config_.num_clients, S, s));
-  sh.cohort = std::make_unique<ClientCohort>(
-      sim, *sh.net, sh.tree, *sh.workload, *sh.partition, *sh.dirfrag,
-      clients, static_cast<ClientId>(sh.first_client), mds_count,
-      config_.seed);
-  // Align each client's uid with the home the workload gives it: the
-  // workload maps global client id c to homes_[c % num_users] (per-shard
-  // num_users), and user u's home is owned by uid 100 + u.
-  for (int c = 0; c < clients; ++c) {
-    sh.cohort->set_uid(
-        c, 100 + static_cast<std::uint32_t>(
-                     (sh.first_client + c) % fs.num_users));
-  }
-  sh.cohort->set_retry_policy(config_.client_retry);
-  sh.cohort->set_hedge_policy(config_.hedge);
-  sh.cohort->set_tracer(sh.tracer.get());
-
-  total_mds_ += mds_count;
-  total_clients_ += clients;
-}
-
 void ShardedClusterSim::build_catalogs() {
   const int S = engine_.shard_count();
   if (S < 2 || config_.shard_remote_fraction <= 0.0 ||
@@ -190,7 +45,7 @@ void ShardedClusterSim::build_catalogs() {
     std::vector<ClientCohort::RemoteTarget> catalog;
     for (int t = 0; t < S; ++t) {
       if (t == s) continue;
-      Shard& other = *shards_[static_cast<std::size_t>(t)];
+      const Cell& other = *shards_[static_cast<std::size_t>(t)].cell;
       const auto& files = other.tree.files();
       if (files.empty()) continue;
       for (int k = 0; k < config_.shard_catalog_size; ++k) {
@@ -202,7 +57,7 @@ void ShardedClusterSim::build_catalogs() {
             node->inode().perms.uid});
       }
     }
-    shards_[static_cast<std::size_t>(s)]->cohort->set_remote_catalog(
+    shards_[static_cast<std::size_t>(s)].cohort->set_remote_catalog(
         std::move(catalog), config_.shard_remote_fraction);
   }
 }
@@ -211,82 +66,43 @@ void ShardedClusterSim::build() {
   if (built_) return;
   built_ = true;
   const int S = engine_.shard_count();
-  int first = 0;
+  shards_.reserve(static_cast<std::size_t>(S));
+  int first_client = 0;
   for (int s = 0; s < S; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->first_client = first;
-    build_shard(s);
-    first += shards_.back()->cohort->size();
+    Simulation& sim = engine_.shard(s);
+    auto cell = std::make_unique<Cell>(sim, config_, s, S, &fabric_);
+    const int clients = shard_share(config_.num_clients, S, s);
+    auto cohort = std::make_unique<ClientCohort>(
+        sim, *cell->net, cell->tree, *cell->workload, *cell->partition,
+        *cell->dirfrag, clients, static_cast<ClientId>(first_client),
+        cell->num_mds(), config_.seed);
+    // Align each client's uid with the home the workload gives it: the
+    // workload maps global client id c to homes_[c % num_users] (per-shard
+    // num_users), and user u's home is owned by uid 100 + u.
+    const int users = cell->fs.num_users;
+    for (int c = 0; users > 0 && c < clients; ++c) {
+      cohort->set_uid(
+          c, 100 + static_cast<std::uint32_t>((first_client + c) % users));
+    }
+    cohort->set_retry_policy(config_.client_retry);
+    cohort->set_hedge_policy(config_.hedge);
+    cohort->set_tracer(cell->tracer.get());
+    cell->measure({&cohort->stats()});
+    first_client += clients;
+    shards_.push_back(Shard{std::move(cell), std::move(cohort)});
   }
   build_catalogs();
 }
 
-void ShardedClusterSim::snapshot(int s) {
-  Shard& sh = *shards_[static_cast<std::size_t>(s)];
-  const std::size_t n = sh.mds_nodes.size();
-  sh.base_replies.resize(n);
-  sh.base_forwards.resize(n);
-  sh.base_requests.resize(n);
-  sh.base_failures.resize(n);
-  sh.base_hits.resize(n);
-  sh.base_misses.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    MdsStats& st = sh.mds_nodes[i]->stats();
-    sh.base_replies[i] = st.replies_sent;
-    sh.base_forwards[i] = st.forwards;
-    sh.base_requests[i] = st.requests_received;
-    sh.base_failures[i] = st.failures;
-    sh.base_hits[i] = sh.mds_nodes[i]->cache().stats().hits;
-    sh.base_misses[i] = sh.mds_nodes[i]->cache().stats().misses;
-  }
-  sh.cohort->stats().latency_seconds = Summary{};
-  sh.net->reset_counters();
-  if (sh.tracer) sh.tracer->reset();
-}
-
 void ShardedClusterSim::aggregate() {
-  const SimTime span = config_.duration - config_.warmup;
-  const double secs = to_seconds(span > 0 ? span : config_.duration);
-  std::uint64_t replies = 0, forwards = 0, requests = 0, failures = 0;
-  std::uint64_t hits = 0, misses = 0;
-  double prefix_sum = 0.0;
-  Summary latency;
-  for (const auto& shp : shards_) {
-    const Shard& sh = *shp;
-    for (std::size_t i = 0; i < sh.mds_nodes.size(); ++i) {
-      const MdsStats& st = sh.mds_nodes[i]->stats();
-      replies += st.replies_sent - sh.base_replies[i];
-      forwards += st.forwards - sh.base_forwards[i];
-      requests += st.requests_received - sh.base_requests[i];
-      failures += st.failures - sh.base_failures[i];
-      hits += sh.mds_nodes[i]->cache().stats().hits - sh.base_hits[i];
-      misses += sh.mds_nodes[i]->cache().stats().misses - sh.base_misses[i];
-      prefix_sum += sh.mds_nodes[i]->cache().prefix_fraction();
-    }
-    latency.merge(sh.cohort->stats().latency_seconds);
-  }
-  result_.config = config_;
-  result_.avg_mds_throughput =
-      secs > 0 ? static_cast<double>(replies) / secs / total_mds_ : 0.0;
-  result_.hit_rate =
-      hits + misses > 0
-          ? static_cast<double>(hits) / static_cast<double>(hits + misses)
-          : 0.0;
-  result_.prefix_fraction = prefix_sum / total_mds_;
-  const std::uint64_t original =
-      requests > forwards ? requests - forwards : 0;
-  result_.forward_fraction =
-      original > 0 ? static_cast<double>(forwards) /
-                         static_cast<double>(original)
-                   : 0.0;
-  result_.mean_latency_ms = latency.mean() * 1e3;
-  result_.replies = replies;
-  result_.failures = failures;
+  std::vector<const Metrics*> cells;
+  for (const Shard& sh : shards_) cells.push_back(sh.cell->metrics.get());
+  result_ = summarize(config_, cells, engine_.shard(0).now());
 
   if (config_.trace.enabled) {
     merged_tracer_ =
         std::make_unique<TraceCollector>(config_.trace.slowest_n);
-    for (const auto& shp : shards_) merged_tracer_->merge(*shp->tracer);
+    for (const Shard& sh : shards_) merged_tracer_->merge(*sh.cell->tracer);
   }
 }
 
@@ -294,15 +110,13 @@ void ShardedClusterSim::run() {
   if (ran_) return;
   ran_ = true;
   build();
-  const int S = engine_.shard_count();
-  for (int s = 0; s < S; ++s) {
-    Shard& sh = *shards_[static_cast<std::size_t>(s)];
+  for (Shard& sh : shards_) {
     sh.cohort->start();
+    Cell* cell = sh.cell.get();
     if (config_.warmup > 0) {
-      engine_.shard(s).schedule(config_.warmup,
-                                [this, s]() { snapshot(s); });
+      cell->sim.schedule(config_.warmup, [cell]() { cell->reset_window(); });
     } else {
-      snapshot(s);  // degenerate: measure from t=0
+      cell->reset_window();  // degenerate: measure from t=0
     }
   }
   engine_.set_threads(config_.threads);
@@ -312,7 +126,7 @@ void ShardedClusterSim::run() {
 
 std::uint64_t ShardedClusterSim::remote_ops() const {
   std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->cohort->remote_ops_issued();
+  for (const Shard& sh : shards_) n += sh.cohort->remote_ops_issued();
   return n;
 }
 

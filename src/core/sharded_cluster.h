@@ -1,11 +1,10 @@
 // Sharded cluster simulation: the parallel counterpart of ClusterSim.
 //
-// A shard is a self-contained mini-cluster — its own namespace tree,
-// object store, network, partitioner, MDS group and client cohort — bound
-// to one engine of a ShardedSimulation. All of the existing intra-cluster
-// protocol (forwarding, replication, migration, heartbeats, journaling)
-// runs unmodified *within* a shard, single-threaded. Cross-shard traffic
-// is client-driven: each cohort holds a frozen catalog of remote targets
+// A shard is one Cell (core/cell.h) plus a client cohort, bound to one
+// engine of a ShardedSimulation. All of the intra-cluster protocol
+// (forwarding, replication, migration, heartbeats, journaling) runs
+// unmodified *within* a shard, single-threaded. Cross-shard traffic is
+// client-driven: each cohort holds a frozen catalog of remote targets
 // (sampled deterministically from the other shards' trees at build time)
 // and issues stats against them with a configurable probability; those
 // requests and their replies ride the lookahead-bounded mailbox fabric
@@ -14,23 +13,17 @@
 //
 // Deliberate non-goals, documented in DESIGN.md §5f: fault injection,
 // partitions and MDS crash/recovery stay intra-shard concepts; sharded
-// runs model healthy scale-out. Every workload kind is supported, wired
-// per shard against that shard's own tree (a flash crowd picks one target
-// per shard; a shifting run moves each shard's clients within its own
-// namespace).
+// runs model healthy scale-out.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "client/cohort.h"
-#include "common/fault_log.h"
-#include "core/config.h"
+#include "core/cell.h"
 #include "core/experiment.h"
-#include "mds/mds_node.h"
 #include "net/shard_link.h"
 #include "sim/sharded.h"
-#include "workload/workload.h"
 
 namespace mdsim {
 
@@ -50,32 +43,14 @@ class ShardedClusterSim {
 
   ShardedSimulation& engine() { return engine_; }
   int num_shards() const { return engine_.shard_count(); }
-  int total_mds() const { return total_mds_; }
-  int total_clients() const { return total_clients_; }
   std::uint64_t remote_ops() const;
   /// Merged per-request trace aggregation (null when tracing is off).
   const TraceCollector* tracer() const { return merged_tracer_.get(); }
 
  private:
   struct Shard {
-    FsTree tree;
-    NamespaceInfo ns_info;
-    ObjectStore store;
-    AnchorTable anchors;
-    FaultLog fault_log;
-    std::unique_ptr<Network> net;
-    std::unique_ptr<Partitioner> partition;
-    std::unique_ptr<DirFragRegistry> dirfrag;
-    std::unique_ptr<LazyHybridManager> lazy;
-    std::unique_ptr<ClusterContext> ctx;
-    std::vector<std::unique_ptr<MdsNode>> mds_nodes;
-    std::unique_ptr<Workload> workload;
-    std::unique_ptr<TraceCollector> tracer;
+    std::unique_ptr<Cell> cell;
     std::unique_ptr<ClientCohort> cohort;
-    int first_client = 0;
-    /// Warm-up snapshots (per local MDS), mirroring Metrics::reset.
-    std::vector<std::uint64_t> base_replies, base_forwards, base_requests,
-        base_failures, base_hits, base_misses;
   };
 
   /// Ferries cross-shard messages: source/destination shards are decoded
@@ -87,19 +62,15 @@ class ShardedClusterSim {
   };
 
   void build();
-  void build_shard(int s);
   void build_catalogs();
-  void snapshot(int s);
   void aggregate();
 
   SimConfig config_;
   ShardedSimulation engine_;
   Fabric fabric_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Shard> shards_;
   std::unique_ptr<TraceCollector> merged_tracer_;
   RunResult result_;
-  int total_mds_ = 0;
-  int total_clients_ = 0;
   bool built_ = false;
   bool ran_ = false;
 };

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <string>
 
+#include "fstree/path.h"
+
 namespace mdsim {
 
 namespace {
@@ -117,7 +119,7 @@ NamespaceInfo generate_namespace(FsTree& tree,
     const int n_groups = (params.num_users + group_size - 1) / group_size;
     for (int g = 0; g < n_groups; ++g) {
       FsNode* grp =
-          tree.mkdir(info.home, "g" + std::to_string(g), root_perms);
+          tree.mkdir(info.home, numbered("g", g), root_perms);
       assert(grp != nullptr);
       groups.push_back(grp);
     }
@@ -133,7 +135,7 @@ NamespaceInfo generate_namespace(FsTree& tree,
     FsNode* parent =
         groups.empty() ? info.home
                        : groups[static_cast<std::size_t>(u) % groups.size()];
-    FsNode* home = tree.mkdir(parent, "u" + std::to_string(u), hp);
+    FsNode* home = tree.mkdir(parent, numbered("u", u), hp);
     assert(home != nullptr);
     info.user_roots.push_back(home);
     fill_directory(ctx, home, 0);
@@ -147,12 +149,12 @@ NamespaceInfo generate_namespace(FsTree& tree,
                      static_cast<std::uint32_t>(50 + p),
                      /*budget=*/1 << 30};
       FsNode* proj =
-          tree.mkdir(info.proj, "p" + std::to_string(p), dir_perms(ctx));
+          tree.mkdir(info.proj, numbered("p", p), dir_perms(ctx));
       assert(proj != nullptr);
       info.project_roots.push_back(proj);
       for (int r = 0; r < params.project_runs; ++r) {
         FsNode* run =
-            tree.mkdir(proj, "run" + std::to_string(r), dir_perms(ctx));
+            tree.mkdir(proj, numbered("run", r), dir_perms(ctx));
         assert(run != nullptr);
         for (int f = 0; f < params.project_dir_files; ++f) {
           FsNode* file = tree.create_file(

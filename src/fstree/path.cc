@@ -35,4 +35,9 @@ bool path_has_prefix(std::string_view path, std::string_view prefix) {
   return true;
 }
 
+std::string numbered(std::string prefix, std::uint64_t n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
+
 }  // namespace mdsim

@@ -551,8 +551,7 @@ class MdsNode final : public NetEndpoint {
   /// Lease/quorum machinery is active only where it can work: subtree
   /// strategies with heartbeats and enough nodes for a strict majority.
   bool partition_safety_on() const {
-    return subtree_map_ != nullptr && ctx_.params.partition_safety &&
-           ctx_.params.failure_detection && ctx_.traits.load_balancing &&
+    return subtree_map_ != nullptr && ctx_.traits.load_balancing &&
            ctx_.num_mds >= 3;
   }
   /// Peers whose latest heard heartbeat (within the lease window) listed

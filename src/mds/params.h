@@ -106,7 +106,6 @@ struct MdsParams {
   /// many heartbeat periods, then the lowest live id redistributes the
   /// dead node's delegations. Only strategies that run the heartbeat
   /// (i.e. those that balance load) detect failures.
-  bool failure_detection = true;
   int heartbeat_miss_threshold = 3;
   /// Takeover nodes replay the failed node's bounded journal from shared
   /// storage to preload its working set (vs a cold takeover).
@@ -129,10 +128,10 @@ struct MdsParams {
   /// renewable lease (renewed by heartbeats from peers that still list us
   /// in their alive-mask), takeover is deferred by a grace period and
   /// gated on a strict-majority quorum, and every failure-driven
-  /// reconfiguration bumps the partition-map epoch. Requires heartbeats
-  /// (load-balancing strategies) and at least 3 nodes; below that the
-  /// pre-lease immediate-takeover behaviour is kept.
-  bool partition_safety = true;
+  /// reconfiguration bumps the partition-map epoch. Always on where it
+  /// can work: heartbeats (load-balancing strategies) and at least 3
+  /// nodes; below that the pre-lease immediate-takeover behaviour is kept.
+
   /// Authority lease duration. A node that has not been acked by a strict
   /// majority within this window self-fences: it parks writes (reads are
   /// still served stale) until the lease renews. Must be shorter than

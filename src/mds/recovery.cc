@@ -30,7 +30,7 @@ namespace mdsim {
 
 void MdsNode::failure_tick(SimTime now) {
   if (partition_safety_on()) evaluate_lease(now);
-  if (ctx_.params.failure_detection) check_peer_liveness(now);
+  check_peer_liveness(now);
   if (!pending_takeover_.empty()) sweep_pending_takeovers(now);
 
   // Double-commit watchdogs (migration.cc has the resolution logic).

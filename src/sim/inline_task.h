@@ -150,12 +150,21 @@ class InlineFunction<R(Args...)> {
     if constexpr (sizeof(Fn) <= kInlineSize &&
                   alignof(Fn) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      if constexpr (std::is_trivially_copyable_v<Fn>) zero_tail(sizeof(Fn));
       ops_ = &InlineModel<Fn>::kOps;
     } else {
       ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
+      zero_tail(sizeof(Fn*));
       ops_ = &HeapModel<Fn>::kOps;
       ++inline_task_stats::heap_fallbacks;
     }
+  }
+
+  /// take() relocates a trivially copyable callable by copying the whole
+  /// buffer, so zero the bytes past it: the copy reads no indeterminate
+  /// bytes.
+  void zero_tail(std::size_t used) noexcept {
+    __builtin_memset(buf_ + used, 0, kInlineSize - used);
   }
 
   void take(InlineFunction& other) noexcept {

@@ -92,8 +92,6 @@ class ShardedSimulation {
   void drain_mailboxes();
   void run_window(SimTime bound);
   void worker_loop(int worker_id);
-  void wake_workers();
-  void wait_workers();
 
   SimTime lookahead_;
   std::vector<std::unique_ptr<Simulation>> shards_;

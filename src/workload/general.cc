@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "fstree/path.h"
+
 namespace mdsim {
 
 namespace {
@@ -262,8 +264,8 @@ bool GeneralWorkload::generate(ClientId c, ClientState& s, Rng& rng,
     case OpType::kCreate:
     case OpType::kMkdir: {
       out->target = region;
-      out->name = (op == OpType::kMkdir ? "d" : "f") + std::to_string(c) +
-                  "_" + std::to_string(s.name_counter++);
+      out->name = numbered(op == OpType::kMkdir ? "d" : "f", c) + "_" +
+                  std::to_string(s.name_counter++);
       return true;
     }
     case OpType::kUnlink: {
@@ -296,13 +298,13 @@ bool GeneralWorkload::generate(ClientId c, ClientState& s, Rng& rng,
         if (dirs.size() >= 2) {
           out->target = dirs[0];
           out->secondary = dirs[1];
-          out->name = "mv" + std::to_string(s.name_counter++);
+          out->name = numbered("mv", s.name_counter++);
           return true;
         }
       }
       out->target = f;
       out->secondary = region;
-      out->name = "r" + std::to_string(c) + "_" +
+      out->name = numbered("r", c) + "_" +
                   std::to_string(s.name_counter++);
       return true;
     }
@@ -312,7 +314,7 @@ bool GeneralWorkload::generate(ClientId c, ClientState& s, Rng& rng,
       out->op = OpType::kLink;
       out->target = region;      // dir receiving the new dentry
       out->secondary = f;        // linked file
-      out->name = "ln" + std::to_string(s.name_counter++);
+      out->name = numbered("ln", s.name_counter++);
       return true;
     }
   }

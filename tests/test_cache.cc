@@ -4,6 +4,7 @@
 
 #include "cache/metadata_cache.h"
 #include "common/rng.h"
+#include "fstree/path.h"
 #include "fstree/tree.h"
 
 namespace mdsim {
@@ -15,7 +16,7 @@ class CacheTest : public ::testing::Test {
     dir_a = tree.mkdir(tree.root(), "a");
     dir_b = tree.mkdir(tree.root(), "b");
     for (int i = 0; i < 20; ++i) {
-      files.push_back(tree.create_file(dir_a, "f" + std::to_string(i)));
+      files.push_back(tree.create_file(dir_a, numbered("f", i)));
     }
   }
 
@@ -371,13 +372,13 @@ TEST_P(CacheProperty, RandomOpsPreserveInvariants) {
   for (int i = 0; i < 60; ++i) {
     FsNode* parent = dirs[rng.uniform(dirs.size())];
     if (rng.bernoulli(0.3)) {
-      FsNode* d = tree.mkdir(parent, "d" + std::to_string(i));
+      FsNode* d = tree.mkdir(parent, numbered("d", i));
       if (d != nullptr) {
         dirs.push_back(d);
         nodes.push_back(d);
       }
     } else {
-      FsNode* f = tree.create_file(parent, "f" + std::to_string(i));
+      FsNode* f = tree.create_file(parent, numbered("f", i));
       if (f != nullptr) nodes.push_back(f);
     }
   }

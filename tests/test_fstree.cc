@@ -65,7 +65,7 @@ TEST_F(FsTreeTest, InodeNumbersUnique) {
   FsNode* d = tree.mkdir(tree.root(), "d");
   std::unordered_set<InodeId> inos{tree.root()->ino(), d->ino()};
   for (int i = 0; i < 100; ++i) {
-    FsNode* f = tree.create_file(d, "f" + std::to_string(i));
+    FsNode* f = tree.create_file(d, numbered("f", i));
     EXPECT_TRUE(inos.insert(f->ino()).second);
   }
 }
@@ -182,7 +182,7 @@ TEST_F(FsTreeTest, SamplingVectorsTrackMembership) {
   FsNode* a = tree.mkdir(tree.root(), "a");
   std::vector<FsNode*> files;
   for (int i = 0; i < 10; ++i) {
-    files.push_back(tree.create_file(a, "f" + std::to_string(i)));
+    files.push_back(tree.create_file(a, numbered("f", i)));
   }
   EXPECT_EQ(tree.files().size(), 10u);
   EXPECT_EQ(tree.dirs().size(), 2u);  // root + a

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/fault_plan.h"
+#include "fstree/path.h"
 #include "test_util.h"
 
 namespace mdsim {
@@ -117,19 +118,19 @@ TEST(GigaRegistry, DentryAuthorityRoutesAroundDeadNodes) {
   // routing dentries into a black hole.
   reg.set_node_alive(2, false);
   for (int i = 0; i < 200; ++i) {
-    EXPECT_NE(reg.dentry_authority(42, "e" + std::to_string(i)), 2);
+    EXPECT_NE(reg.dentry_authority(42, numbered("e", i)), 2);
   }
   // Giga partition placement probes past the dead node too.
   reg.fragment(42, /*home=*/2, /*giga=*/true, false, 10, 0.0, 0, kSecond);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_NE(reg.dentry_authority(42, "e" + std::to_string(i)), 2);
+    EXPECT_NE(reg.dentry_authority(42, numbered("e", i)), 2);
   }
   // Back alive: the original hash placement returns and spreads.
   reg.set_node_alive(2, true);
   reg.unfragment(42);
   std::set<MdsId> seen;
   for (int i = 0; i < 400; ++i) {
-    seen.insert(reg.dentry_authority(42, "e" + std::to_string(i)));
+    seen.insert(reg.dentry_authority(42, numbered("e", i)));
   }
   EXPECT_EQ(seen.size(), 4u);
 }
@@ -224,7 +225,7 @@ TEST_F(GigaTest, MisroutedDentryOpDrawsRedirectAndStillSucceeds) {
   const MdsId home = g->home;
   std::string misrouted;
   for (int i = 0; i < 64; ++i) {
-    const std::string name = "stale" + std::to_string(i);
+    const std::string name = numbered("stale", i);
     if (cluster.dirfrag().dentry_authority(dir->ino(), name) != home) {
       misrouted = name;
       break;
@@ -271,14 +272,14 @@ TEST_F(GigaTest, CrashedNodeWhileFragmentedIsRoutedAround) {
     for (int i = 0; i < 100; ++i) {
       EXPECT_NE(
           cluster.dirfrag().dentry_authority(dir->ino(),
-                                             "after" + std::to_string(i)),
+                                             numbered("after", i)),
           victim);
     }
     // …and creates routed by it keep succeeding through the outage.
     const std::size_t replies_before = client.replies.size();
     int sent = 0;
     for (int i = 0; i < 20; ++i) {
-      const std::string name = "after" + std::to_string(i);
+      const std::string name = numbered("after", i);
       client.send(cluster.dirfrag().dentry_authority(dir->ino(), name),
                   OpType::kCreate, dir, name);
       ++sent;
@@ -367,7 +368,7 @@ TEST_F(GigaTest, OscillatingTemperatureDoesNotFlap) {
   // (threshold × 0.25) holds the fragmentation through the gaps instead
   // of unhashing and re-hashing per burst.
   for (int burst = 0; burst < 4; ++burst) {
-    storm(cluster, client, dir, "b" + std::to_string(burst) + "_", 15);
+    storm(cluster, client, dir, numbered("b", burst) + "_", 15);
     run_for(cluster, 1500 * kMillisecond);
   }
   EXPECT_TRUE(cluster.dirfrag().is_fragmented(dir->ino()));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "client/cohort.h"
 #include "test_util.h"
 
 namespace mdsim {
@@ -111,6 +112,50 @@ TEST(Metrics, PostWarmupDeltasCountEachReplyOnce) {
   warm_only.run_until(cfg.warmup);
   EXPECT_EQ(warm_only.metrics().total_replies() + post_warmup,
             whole.metrics().total_replies());
+}
+
+// Metrics over a cohort's aggregate ClientStats (the sharded engine's
+// shape): reset() zeroes the cohort's latency Summary and re-bases every
+// node, so the aggregates count only replies sent after it.
+TEST(Metrics, ResetOverCohortStatsCountsOnlyLaterReplies) {
+  const SimConfig cfg = metrics_config();
+  Simulation sim;
+  Cell cell(sim, cfg);
+  ClientCohort cohort(sim, *cell.net, cell.tree, *cell.workload,
+                      *cell.partition, *cell.dirfrag, cfg.num_clients, 0,
+                      cell.num_mds(), cfg.seed);
+  cell.measure({&cohort.stats()});
+  Metrics& m = *cell.metrics;
+  auto replies_sent = [&cell]() {
+    std::uint64_t n = 0;
+    for (const auto& node : cell.mds_nodes) n += node->stats().replies_sent;
+    return n;
+  };
+
+  cohort.start();
+  sim.run_until(2 * kSecond);
+  ASSERT_GT(cohort.stats().latency_seconds.count(), 0u);
+  ASSERT_EQ(m.total_replies(), replies_sent());
+
+  m.reset(sim.now());
+  const std::uint64_t at_reset = replies_sent();
+  EXPECT_EQ(cohort.stats().latency_seconds.count(), 0u);
+  EXPECT_EQ(m.client_latency().count(), 0u);
+  EXPECT_EQ(m.total_replies(), 0u);
+  EXPECT_EQ(m.total_failures(), 0u);
+  EXPECT_EQ(m.cluster_hit_rate(), 0.0);
+  EXPECT_EQ(m.overall_forward_fraction(), 0.0);
+  EXPECT_EQ(m.avg_mds_throughput(sim.now()), 0.0);
+
+  sim.run_until(4 * kSecond);
+  const std::uint64_t later = replies_sent() - at_reset;
+  ASSERT_GT(later, 0u);
+  EXPECT_EQ(m.total_replies(), later);
+  EXPECT_DOUBLE_EQ(m.avg_mds_throughput(sim.now()),
+                   static_cast<double>(later) / 2.0 / cfg.num_mds);
+  EXPECT_EQ(m.client_latency().count(),
+            cohort.stats().latency_seconds.count());
+  EXPECT_GT(m.client_latency().count(), 0u);
 }
 
 TEST(Metrics, ClientLatencyAggregated) {

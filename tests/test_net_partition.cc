@@ -256,7 +256,9 @@ TEST_F(ClusterPartitionTest, MinorityFencesWritesParkAndLandAfterHeal) {
   EXPECT_TRUE(cluster->mds(victim).fenced());
   EXPECT_GE(cluster->mds(victim).stats().fence_events, 1u);
   for (int i = 0; i < cluster->num_mds(); ++i) {
-    if (i != victim) EXPECT_FALSE(cluster->mds(i).fenced()) << i;
+    if (i != victim) {
+      EXPECT_FALSE(cluster->mds(i).fenced()) << i;
+    }
   }
 
   // A minority-side write parks (CP for writes: no ack, no apply)...

@@ -216,5 +216,25 @@ TEST(ShardedSim, ClusterResultsIdenticalAcrossThreadCounts) {
   EXPECT_GT(r1.replies, 0u);
 }
 
+// A spike-on-baseline flash crowd (base_think > 0) carries its background
+// load on every shard: with the run ending before the crowd starts, the
+// clients still complete work instead of idling until the crowd.
+TEST(ShardedSim, FlashCrowdBaselineLoadRunsBeforeTheCrowd) {
+  SimConfig cfg;
+  cfg.workload = WorkloadKind::kFlashCrowd;
+  cfg.num_mds = 4;
+  cfg.num_clients = 40;
+  cfg.fs.num_users = 4;
+  cfg.fs.nodes_per_user = 200;
+  cfg.flash.base_think = 20 * kMillisecond;
+  cfg.duration = 400 * kMillisecond;
+  cfg.warmup = 100 * kMillisecond;
+  cfg.shards = 2;
+  ASSERT_LE(cfg.duration, cfg.flash.start);
+  ShardedClusterSim cluster(cfg);
+  cluster.run();
+  EXPECT_GT(cluster.result().replies, 0u);
+}
+
 }  // namespace
 }  // namespace mdsim

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "fstree/tree.h"
+#include "fstree/path.h"
 #include "sim/simulation.h"
 #include "storage/anchor_table.h"
 #include "storage/disk_model.h"
@@ -100,7 +101,7 @@ class ObjectStoreTest : public ::testing::Test {
   ObjectStoreTest() : store(8) {
     dir = tree.mkdir(tree.root(), "d");
     for (int i = 0; i < 100; ++i) {
-      tree.create_file(dir, "f" + std::to_string(i));
+      tree.create_file(dir, numbered("f", i));
     }
   }
   FsTree tree;
