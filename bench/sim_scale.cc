@@ -72,14 +72,7 @@ Timing run_legacy(const SimConfig& cfg, const std::string& name) {
   cluster.run();
   const auto t1 = std::chrono::steady_clock::now();
   t.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  Metrics& m = cluster.metrics();
-  t.result.config = cfg;
-  t.result.avg_mds_throughput = m.avg_mds_throughput(cluster.sim().now());
-  t.result.hit_rate = m.cluster_hit_rate();
-  t.result.forward_fraction = m.overall_forward_fraction();
-  t.result.mean_latency_ms = m.client_latency().mean() * 1e3;
-  t.result.replies = m.total_replies();
-  t.result.failures = m.total_failures();
+  t.result = summarize(cfg, {&cluster.metrics()}, cluster.sim().now());
   t.events = cluster.sim().events_executed();
   return t;
 }

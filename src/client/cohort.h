@@ -1,14 +1,31 @@
-// Dense client population: struct-of-arrays cohort.
+// Simulated file-system clients, held in dense cohorts.
 //
-// The per-client `Client` object costs a heap allocation, a private event
-// per pending timer in the engine's global heap, and scattered state that
-// thrashes caches once populations reach the tens of thousands. A
-// ClientCohort holds the *same* closed-loop protocol (think → issue →
-// reply | timeout → backoff → retry) as parallel arrays indexed by a dense
-// client index, and replaces per-client heap events with a single shared
-// TimerWheel: each client has at most one live timer (closed-loop
-// invariant), identified by a (kind, generation) stamp so superseded
-// timers are dropped with one compare when they fire.
+// Clients are closed-loop: issue a metadata request, wait for the reply,
+// think, repeat (the workload generator controls both the op stream and
+// the pacing). For the subtree strategies, request routing uses each
+// client's location cache (initial ignorance + learned hints, paper
+// sections 4.4 and 5.3.3); for the hashed strategies the client computes
+// the authority directly, as those systems allow ("clients can locate and
+// contact the responsible MDS directly", section 3.1.2).
+//
+// A ClientCohort holds that protocol (think → issue → reply | timeout →
+// backoff → retry, plus hedged reads and GIGA+ routing) once, over one
+// array of per-client slots indexed by a dense client index: everything a
+// turn touches sits in one slot, and a cohort of one is one allocation.
+// Each client has at most one live timer (closed-loop invariant),
+// identified by a (kind, generation) stamp so superseded timers are
+// dropped with one compare when they fire. Where the timers live follows
+// the cohort's size:
+//  - A cohort of one arms its timer straight on the engine heap at the
+//    exact due time, in one EventHandle that each re-arm cancels. The
+//    single-engine ClusterSim builds one such cohort per client.
+//  - A larger cohort batches every client's timer through one shared
+//    TimerWheel with 1 ms buckets (a timer fires at the next millisecond
+//    boundary at or after its due time), so one engine event services a
+//    whole bucket. Each shard of a ShardedClusterSim is one such cohort.
+// Client `id` draws from Rng(seed, 0xc11e47000 + id) in both cases, so a
+// client's stream depends on its global id, not on how clients are
+// grouped into cohorts.
 //
 // Each client still owns a real network address — a per-client Port
 // endpoint attaches to the Network — so MDS-side per-address logic
@@ -25,11 +42,14 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "client/client.h"  // ClientStats
+#include "client/hedge_policy.h"
 #include "client/location_cache.h"
+#include "client/retry_policy.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/trace.h"
 #include "common/types.h"
 #include "mds/dirfrag.h"
@@ -39,6 +59,23 @@
 #include "workload/workload.h"
 
 namespace mdsim {
+
+struct ClientStats {
+  std::uint64_t ops_issued = 0;
+  std::uint64_t ops_completed = 0;
+  std::uint64_t ops_ok = 0;       // completed with success (goodput)
+  std::uint64_t ops_failed = 0;
+  std::uint64_t forwarded_replies = 0;  // replies that took >0 MDS hops
+  std::uint64_t retries = 0;            // timeouts (e.g. a failed MDS)
+  std::uint64_t stale_replies = 0;      // late/duplicate replies ignored
+  std::uint64_t rejected_replies = 0;   // overload Rejected{retry_after}
+  std::uint64_t retries_suppressed = 0; // retry budget dry: failed fast
+  std::uint64_t giga_redirects = 0;     // stale-bitmap corrections received
+  std::uint64_t hedges_fired = 0;       // backup requests sent
+  std::uint64_t hedge_wins = 0;         // ops settled by the backup copy
+  std::uint64_t wasted_hedges = 0;      // primary won after a hedge fired
+  Summary latency_seconds;
+};
 
 class ClientCohort {
  public:
@@ -53,47 +90,49 @@ class ClientCohort {
                Workload& workload, const Partitioner& partition,
                const DirFragRegistry& dirfrag, int count, ClientId first_id,
                int num_mds, std::uint64_t seed);
+  ClientCohort(const ClientCohort&) = delete;
+  ClientCohort& operator=(const ClientCohort&) = delete;
 
   /// Attach every client's port and schedule its first operation.
   void start();
 
-  int size() const { return static_cast<int>(ports_.size()); }
+  int size() const { return static_cast<int>(clients_.size()); }
   ClientId client_id(int idx) const {
     return first_id_ + static_cast<ClientId>(idx);
   }
-  NetAddr addr(int idx) const { return ports_[static_cast<std::size_t>(idx)].addr; }
 
   void set_uid(int idx, std::uint32_t uid) {
-    uids_[static_cast<std::size_t>(idx)] = uid;
+    clients_[static_cast<std::size_t>(idx)].uid = uid;
   }
-  /// Retry policy (timeout, backoff, budget) for every client in the
-  /// cohort; mirrors Client::set_retry_policy.
+  /// Retry policy for every client in the cohort: request timeout,
+  /// exponential-backoff knobs, retry budget. Unanswered requests are
+  /// re-issued after the timeout (to a random node, bypassing possibly
+  /// stale location knowledge) with exponential backoff (base << attempt,
+  /// capped) and deterministic jitter in [d/2, d), so a crowd of clients
+  /// stranded by a dead node doesn't re-stampede it in lockstep on
+  /// recovery. The rng is only consulted on retries: healthy runs draw
+  /// nothing.
   void set_retry_policy(const ClientRetryParams& p) {
     retry_ = p;
-    for (RetryBudget& b : budgets_) b.init(p.budget);
+    for (Slot& c : clients_) c.budget.init(p.budget);
   }
-  const ClientRetryParams& retry_policy() const { return retry_; }
 
-  /// Hedged reads for every client in the cohort; mirrors
-  /// Client::set_hedge_policy (same estimator, same trigger, same single
-  /// backup-pick draw). Per-client hedge arrays are allocated only when
-  /// the policy is enabled — disabled cohorts carry no extra state.
+  /// Hedged reads (hedge_policy.h) for every client in the cohort: once
+  /// an op class's tail estimator is warm, a read-only first attempt that
+  /// has not been answered after the class's ~p99 delay fires one backup
+  /// copy (same req_id) at a different node; first reply wins, the loser
+  /// is discarded as stale. Off by default: the issue path arms the
+  /// ordinary timeout and draws no randomness. The per-client tail
+  /// estimators are allocated only when the policy is enabled.
   void set_hedge_policy(const HedgeParams& p) {
     hedge_ = p;
-    if (hedge_.enabled) {
-      hedge_ests_.resize(ports_.size());
-      hedge_out_.assign(ports_.size(), 0);
-      primary_.assign(ports_.size(), 0);
-    }
+    if (hedge_.enabled) hedge_ests_.resize(clients_.size());
   }
-  const HedgeParams& hedge_policy() const { return hedge_; }
-  /// Estimator peek (tests): client idx's tail estimate for an op class.
-  SimTime hedge_estimate(int idx, OpType op) const {
-    return hedge_ests_.empty()
-               ? 0
-               : hedge_ests_[static_cast<std::size_t>(idx)]
-                     .q[static_cast<std::size_t>(op)];
-  }
+
+  /// Enable per-request tracing: each issued op carries a pointer to its
+  /// client's TraceRecord (closed-loop clients have exactly one op in
+  /// flight, so one reusable record each suffices) and completed ops are
+  /// ingested by the collector. Null (the default) disables tracing.
   void set_tracer(TraceCollector* tracer);
 
   /// Install cross-shard targets; each think-turn goes remote with
@@ -104,10 +143,9 @@ class ClientCohort {
   const ClientStats& stats() const { return stats_; }
   ClientStats& stats() { return stats_; }
   std::uint64_t remote_ops_issued() const { return remote_issued_; }
-  const TimerWheel& wheel() const { return wheel_; }
 
  private:
-  /// Timer kinds, encoded in the low bits of the wheel stamp.
+  /// Timer kinds, encoded in the low bits of the timer stamp.
   enum Kind : std::uint32_t { kThink = 0, kTimeout = 1, kRetry = 2, kHedge = 3 };
 
   struct Port final : NetEndpoint {
@@ -119,6 +157,31 @@ class ClientCohort {
     }
   };
 
+  /// One client's protocol state.
+  struct Slot {
+    Port port;
+    std::uint32_t stamp = 0;       // current valid timer stamp
+    std::uint32_t uid = 0;
+    std::int32_t attempts = 0;
+    std::uint8_t remote = 0;       // this turn targets another shard
+    std::uint8_t hedge_out = 0;    // a backup copy is in flight
+    std::uint32_t remote_idx = 0;  // catalog index when remote
+    MdsId primary = 0;             // where attempt 0 went
+    std::uint64_t next_req = 1;
+    std::uint64_t inflight = 0;    // req id, 0 = idle
+    SimTime issued_at = 0;
+    /// Highest partition-map epoch seen in replies. A jump means the
+    /// cluster reconfigured (takeover or partition heal): learned
+    /// locations may point at superseded authorities, so the cache is
+    /// flushed. Starts at 1 — healthy runs never see a jump and never
+    /// flush.
+    std::uint64_t last_epoch = 1;
+    RetryBudget budget;
+    Rng rng;  // Rng(seed, 0xc11e47000 + id)
+    Operation pending;
+    LocationCache locs;
+  };
+
   void on_timer(std::uint32_t idx, std::uint32_t stamp);
   void on_reply(std::uint32_t idx, NetAddr from, MessagePtr msg);
   void schedule_next(std::uint32_t idx);
@@ -128,7 +191,7 @@ class ClientCohort {
   void on_retry(std::uint32_t idx);
   void on_hedge(std::uint32_t idx);
   void give_up(std::uint32_t idx);
-  MdsId pick_mds(std::uint32_t idx, const Operation& op);
+  MdsId pick_mds(Slot& c, const Operation& op);
   /// Arm this client's one live timer (superseding any previous one).
   void arm(std::uint32_t idx, Kind kind, SimTime due);
   /// Invalidate the live timer without arming a new one.
@@ -145,40 +208,27 @@ class ClientCohort {
   ClientRetryParams retry_;
   TraceCollector* tracer_ = nullptr;
 
-  TimerWheel wheel_;
-  std::vector<Port> ports_;
+  // Exactly one of these carries the timers: the wheel for a cohort of
+  // more than one, the exact engine event for a cohort of one.
+  std::optional<TimerWheel> wheel_;
+  EventHandle timer_;
 
-  // Parallel per-client arrays, indexed by dense cohort index.
-  std::vector<std::uint32_t> uids_;
-  std::vector<Rng> rngs_;             // substream(i) of the cohort seed
-  std::vector<std::uint64_t> next_req_;
-  std::vector<std::uint64_t> inflight_;  // req id, 0 = idle
-  std::vector<SimTime> issued_at_;
-  std::vector<std::int32_t> attempts_;
-  std::vector<std::uint32_t> stamps_;    // current valid wheel stamp
-  std::vector<std::uint64_t> last_epoch_;
-  std::vector<Operation> pending_;
-  std::vector<std::uint8_t> remote_;     // this turn targets another shard
-  std::vector<std::uint32_t> remote_idx_;  // catalog index when remote
-  std::vector<RetryBudget> budgets_;     // per-client retry budgets
-  std::vector<LocationCache> locs_;
+  /// Never resized after construction: Port addresses must be stable.
+  std::vector<Slot> clients_;
   std::vector<TraceRecord> trace_recs_;  // sized when a tracer is set
-
-  // Hedged reads (arrays sized only when hedge_.enabled).
   HedgeParams hedge_;
-  std::vector<HedgeEstimator> hedge_ests_;
-  std::vector<std::uint8_t> hedge_out_;  // a backup copy is in flight
-  std::vector<MdsId> primary_;           // where attempt 0 went
+  std::vector<HedgeEstimator> hedge_ests_;  // sized when hedging is on
 
   std::vector<RemoteTarget> catalog_;
   double remote_fraction_ = 0.0;
   std::uint64_t remote_issued_ = 0;
 
   ClientStats stats_;
-  /// Turn counters accumulated during one wheel-bucket service and folded
-  /// into stats_ by the bucket-end hook: one stats update per bucket, not
-  /// one per timer. Reply-path counters (completions, latency) are driven
-  /// by network delivery, not the wheel, and update stats_ directly.
+  /// Turn counters accumulated during one timer service and folded into
+  /// stats_ at its end: by the wheel's bucket-end hook (one stats update
+  /// per bucket, not one per timer), or right after a cohort of one's
+  /// exact timer fires. Reply-path counters (completions, latency) are
+  /// driven by network delivery, not timers, and update stats_ directly.
   struct PendingTurnStats {
     std::uint32_t issued = 0;
     std::uint32_t retries = 0;

@@ -1,10 +1,9 @@
 // Client-side retry policy: timeout/backoff knobs, the shared backoff
 // computation, and the per-client retry budget.
 //
-// Both the standalone Client and the SoA Cohort implement the same retry
-// protocol; the timeout, backoff, and jitter math lives here so the two
-// cannot drift (test_retry_parity asserts they stay in lockstep). The
-// budget implements gRPC-style retry throttling: successes earn fractional
+// ClientCohort (cohort.h) implements the retry protocol; the timeout,
+// backoff, and jitter math lives here (test_retry_parity asserts that
+// exact and wheel timers retry alike). The budget implements gRPC-style retry throttling: successes earn fractional
 // tokens, each retry spends a whole one, and a dry budget fails the
 // operation fast instead of feeding a retry storm.
 #pragma once
@@ -40,8 +39,7 @@ struct ClientRetryParams {
 
 /// Backoff before retry number `attempts` (1-based): exponential in the
 /// attempt count, capped, with ±50% decorrelating jitter. Exactly one RNG
-/// draw — Client and Cohort must call this in identical situations to
-/// keep their streams aligned.
+/// draw.
 inline SimTime retry_backoff_delay(const ClientRetryParams& p, int attempts,
                                    Rng& rng) {
   const int shift = attempts - 1 < 6 ? attempts - 1 : 6;
@@ -60,7 +58,7 @@ inline SimTime rejected_retry_delay(SimTime retry_after, Rng& rng) {
 }
 
 /// Per-client retry budget. Pure arithmetic, no RNG, no time — identical
-/// across Client and Cohort and across thread counts by construction.
+/// across cohort sizes and thread counts by construction.
 struct RetryBudget {
   double tokens = 0.0;
 

@@ -17,14 +17,14 @@ void ClusterSim::build() {
   clients_.reserve(static_cast<std::size_t>(config_.num_clients));
   std::vector<ClientStats*> stats;
   for (ClientId c = 0; c < config_.num_clients; ++c) {
-    clients_.push_back(std::make_unique<Client>(
+    clients_.push_back(std::make_unique<ClientCohort>(
         sim_, *cell.net, cell.tree, *cell.workload, *cell.partition,
-        *cell.dirfrag, c, config_.num_mds, config_.seed));
+        *cell.dirfrag, /*count=*/1, c, config_.num_mds, config_.seed));
     // Align each client with the user whose home it primarily works in,
     // so permission checks reflect ownership.
     if (config_.fs.num_users > 0) {
       clients_.back()->set_uid(
-          100 + static_cast<std::uint32_t>(c % config_.fs.num_users));
+          0, 100 + static_cast<std::uint32_t>(c % config_.fs.num_users));
     }
     clients_.back()->set_retry_policy(config_.client_retry);
     clients_.back()->set_hedge_policy(config_.hedge);

@@ -1,12 +1,14 @@
 // Single-engine cluster: one Cell (namespace, substrates, MDS group,
-// workload, metrics) plus one Client per client, run while sampling
-// metrics, with the fault-injection API the figures and benches drive.
+// workload, metrics) plus one ClientCohort of one client per client —
+// exact timers and per-client stats (client/cohort.h) — run while
+// sampling metrics, with the fault-injection API the figures and benches
+// drive.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "client/client.h"
+#include "client/cohort.h"
 #include "core/cell.h"
 
 namespace mdsim {
@@ -64,7 +66,10 @@ class ClusterSim {
     return *cell_->mds_nodes[static_cast<std::size_t>(i)];
   }
   int num_mds() const { return config_.num_mds; }
-  Client& client(int i) { return *clients_[static_cast<std::size_t>(i)]; }
+  /// Client i, as its own cohort of one.
+  ClientCohort& client(int i) {
+    return *clients_[static_cast<std::size_t>(i)];
+  }
   int num_clients() const { return static_cast<int>(clients_.size()); }
 
   Metrics& metrics() { return *cell_->metrics; }
@@ -77,7 +82,7 @@ class ClusterSim {
   SimConfig config_;
   Simulation sim_;
   std::unique_ptr<Cell> cell_;  // built lazily, on first use
-  std::vector<std::unique_ptr<Client>> clients_;
+  std::vector<std::unique_ptr<ClientCohort>> clients_;
   bool started_ = false;
 };
 

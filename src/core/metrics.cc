@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "client/client.h"
+#include "client/cohort.h"
 #include "mds/mds_node.h"
 
 namespace mdsim {

@@ -19,8 +19,9 @@ struct ClientStats;
 
 class Metrics {
  public:
-  /// `clients` are the stats of whatever issues the load: one per Client,
-  /// or one per ClientCohort.
+  /// `clients` are the stats of whatever issues the load, one per
+  /// ClientCohort: per client in a single-engine cluster (cohorts of
+  /// one), per shard in a sharded one.
   Metrics(std::vector<MdsNode*> nodes, std::vector<ClientStats*> clients,
           const Simulation* sim = nullptr);
 

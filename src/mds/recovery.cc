@@ -117,11 +117,13 @@ void MdsNode::on_peer_detected_down(MdsId peer) {
     return;
   }
 
-  // Legacy immediate path (2-node clusters, safety disabled): the lowest
-  // id that believes itself alive coordinates the takeover. Sweeping every
-  // dead peer (not just this one) covers a coordinator that died before
-  // acting: the next-lowest survivor redoes the sweep, and
-  // already-redistributed peers are skipped inside.
+  // Immediate path, taken whenever partition_safety_on() is false — for a
+  // heartbeating subtree cluster, whenever it has fewer than 3 nodes (no
+  // strict majority survives a cut): the lowest id that believes itself
+  // alive coordinates the takeover. Sweeping every dead peer (not just
+  // this one) covers a coordinator that died before acting: the
+  // next-lowest survivor redoes the sweep, and already-redistributed
+  // peers are skipped inside.
   MdsId coordinator = id_;
   for (MdsId i = 0; i < ctx_.num_mds; ++i) {
     if (i != id_ && peer_alive_[static_cast<std::size_t>(i)] == 0) continue;

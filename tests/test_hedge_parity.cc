@@ -1,9 +1,12 @@
-// Hedge parity: the standalone Client and the SoA ClientCohort implement
-// one hedged-read protocol (client/hedge_policy.h). Against identical
-// scripted servers — a slow primary with a slower backup, a slow primary
-// with a fast backup — a cohort of one must fire the same hedges, settle
-// each race the same way, and discard the loser's reply as stale exactly
-// like a standalone client, within the timer wheel's quantization.
+// Hedge parity: ClientCohort runs one hedged-read protocol
+// (client/hedge_policy.h) on two kinds of timer — exact engine events in a
+// cohort of one, the 1 ms timer wheel in a larger cohort. Against
+// identical scripted servers — a slow primary with a slower backup, a
+// slow primary with a fast backup — a wheel-timed client must fire the
+// same hedges, settle each race the same way, and discard the loser's
+// reply as stale exactly like an exact-timed one, within the wheel's
+// quantization. The wheel side is a cohort of two whose second client
+// never issues, so only client 0 sends traffic.
 //
 // The scripted world: two server endpoints take addresses 0 and 1 (a
 // num_mds=2 client's whole universe). Replies are keyed purely on the
@@ -19,7 +22,6 @@
 #include <tuple>
 #include <vector>
 
-#include "client/client.h"
 #include "client/cohort.h"
 #include "client/hedge_policy.h"
 #include "client/retry_policy.h"
@@ -36,12 +38,14 @@ namespace {
 constexpr std::uint64_t kSeed = 7;
 constexpr SimTime kLatency = from_micros(100);
 
-/// Stat the same file forever with a fixed think time: no RNG draws, so
-/// the op stream is identical for both client implementations.
+/// Client 0 stats the same file forever with a fixed think time: no RNG
+/// draws, so the op stream is identical under both timer kinds. Every
+/// other client is done from the start.
 struct FixedWorkload final : Workload {
   FsNode* target = nullptr;
   SimTime think = 10 * kMillisecond;
-  SimTime next(ClientId, SimTime, Rng&, Operation* out) override {
+  SimTime next(ClientId id, SimTime, Rng&, Operation* out) override {
+    if (id != 0) return kNever;
     out->op = OpType::kStat;
     out->target = target;
     return think;
@@ -125,7 +129,9 @@ ClientRetryParams no_retry() {
   return rp;
 }
 
-RunOutcome run_world(bool cohort, Script& script, const HedgeParams& hp,
+/// `wheel` selects a cohort of two (wheel timers) over a cohort of one
+/// (exact timers).
+RunOutcome run_world(bool wheel, Script& script, const HedgeParams& hp,
                      SimTime horizon) {
   Simulation sim;
   NetworkParams np;
@@ -153,24 +159,15 @@ RunOutcome run_world(bool cohort, Script& script, const HedgeParams& hp,
     EXPECT_EQ(servers[i].addr, i);
   }
 
+  ClientCohort co(sim, net, tree, workload, *partition, dirfrag,
+                  /*count=*/wheel ? 2 : 1, /*first_id=*/0, /*num_mds=*/2,
+                  kSeed);
+  co.set_retry_policy(no_retry());
+  co.set_hedge_policy(hp);
+  co.start();
+  sim.run_until(horizon);
   RunOutcome out;
-  if (cohort) {
-    ClientCohort co(sim, net, tree, workload, *partition, dirfrag,
-                    /*count=*/1, /*first_id=*/0, /*num_mds=*/2, kSeed);
-    co.set_retry_policy(no_retry());
-    co.set_hedge_policy(hp);
-    co.start();
-    sim.run_until(horizon);
-    out.stats = co.stats();
-  } else {
-    Client c(sim, net, tree, workload, *partition, dirfrag, /*id=*/0,
-             /*num_mds=*/2, kSeed);
-    c.set_retry_policy(no_retry());
-    c.set_hedge_policy(hp);
-    c.start();
-    sim.run_until(horizon);
-    out.stats = c.stats();
-  }
+  out.stats = co.stats();
   out.arrivals = script.arrivals;
   return out;
 }
@@ -179,7 +176,7 @@ std::uint64_t absdiff(std::uint64_t a, std::uint64_t b) {
   return a > b ? a - b : b - a;
 }
 
-/// Wheel quantization stretches the cohort's cycles by < 1 ms each, so
+/// Wheel quantization stretches the wheel side's cycles by < 1 ms each, so
 /// the horizon cuts the two runs a few ops apart; every per-op decision
 /// is identical, so all counters must agree within that cutoff slop.
 void expect_counters_close(const RunOutcome& a, const RunOutcome& b) {
@@ -194,15 +191,15 @@ TEST(HedgeParity, HedgeFiresButPrimaryWins) {
   // Backup replies land 60 ms after the hedge — well after the primary's
   // 30 ms reply. Every hedge is wasted and every backup reply is stale.
   const SimTime horizon = 2 * kSecond;
-  auto run = [&](bool cohort) {
+  auto run = [&](bool wheel) {
     Script script;
     script.hedge_delay = 60 * kMillisecond;
-    return run_world(cohort, script, test_hedge(), horizon);
+    return run_world(wheel, script, test_hedge(), horizon);
   };
-  const RunOutcome standalone = run(false);
-  const RunOutcome cohort = run(true);
+  const RunOutcome exact = run(false);
+  const RunOutcome wheel = run(true);
 
-  for (const RunOutcome* r : {&standalone, &cohort}) {
+  for (const RunOutcome* r : {&exact, &wheel}) {
     EXPECT_GT(r->stats.ops_ok, 20u);
     EXPECT_GT(r->stats.hedges_fired, 10u);
     EXPECT_EQ(r->stats.hedge_wins, 0u);
@@ -222,7 +219,7 @@ TEST(HedgeParity, HedgeFiresButPrimaryWins) {
     for (const Arrival& a : r->arrivals) hedged_arrivals += a.hedge;
     EXPECT_EQ(hedged_arrivals, r->stats.hedges_fired);
   }
-  expect_counters_close(standalone, cohort);
+  expect_counters_close(exact, wheel);
 }
 
 TEST(HedgeParity, BackupWinsAndPrimaryReplyIsDiscardedAsStale) {
@@ -230,15 +227,15 @@ TEST(HedgeParity, BackupWinsAndPrimaryReplyIsDiscardedAsStale) {
   // ahead of the primary's 30 ms reply. Every hedge wins, and every
   // primary reply arrives after completion and lands in stale_replies.
   const SimTime horizon = 2 * kSecond;
-  auto run = [&](bool cohort) {
+  auto run = [&](bool wheel) {
     Script script;
     script.hedge_delay = 2 * kMillisecond;
-    return run_world(cohort, script, test_hedge(), horizon);
+    return run_world(wheel, script, test_hedge(), horizon);
   };
-  const RunOutcome standalone = run(false);
-  const RunOutcome cohort = run(true);
+  const RunOutcome exact = run(false);
+  const RunOutcome wheel = run(true);
 
-  for (const RunOutcome* r : {&standalone, &cohort}) {
+  for (const RunOutcome* r : {&exact, &wheel}) {
     EXPECT_GT(r->stats.ops_ok, 20u);
     EXPECT_GT(r->stats.hedge_wins, 10u);
     // The estimator tracks its own output here: each win completes at
@@ -256,11 +253,11 @@ TEST(HedgeParity, BackupWinsAndPrimaryReplyIsDiscardedAsStale) {
     EXPECT_EQ(r->stats.retries, 0u);
     EXPECT_EQ(r->stats.ops_failed, 0u);
   }
-  expect_counters_close(standalone, cohort);
+  expect_counters_close(exact, wheel);
   // Winning hedges cap the op at ~7 ms instead of 30 ms: the mean must
   // sit well under the slow primary's floor.
-  EXPECT_LT(standalone.stats.latency_seconds.mean(), 0.020);
-  EXPECT_LT(cohort.stats.latency_seconds.mean(), 0.020);
+  EXPECT_LT(exact.stats.latency_seconds.mean(), 0.020);
+  EXPECT_LT(wheel.stats.latency_seconds.mean(), 0.020);
 }
 
 TEST(HedgeParity, ColdEstimatorIsByteIdenticalToDisabled) {
@@ -274,23 +271,23 @@ TEST(HedgeParity, ColdEstimatorIsByteIdenticalToDisabled) {
   cold.min_samples = std::numeric_limits<std::uint32_t>::max();
   HedgeParams off;  // defaults: disabled
 
-  for (bool cohort : {false, true}) {
+  for (bool wheel : {false, true}) {
     Script sa;
     sa.hedge_delay = 2 * kMillisecond;
-    const RunOutcome a = run_world(cohort, sa, cold, horizon);
+    const RunOutcome a = run_world(wheel, sa, cold, horizon);
     Script sb;
     sb.hedge_delay = 2 * kMillisecond;
-    const RunOutcome b = run_world(cohort, sb, off, horizon);
+    const RunOutcome b = run_world(wheel, sb, off, horizon);
 
-    EXPECT_EQ(a.stats.hedges_fired, 0u) << "cohort=" << cohort;
-    EXPECT_EQ(b.stats.hedges_fired, 0u) << "cohort=" << cohort;
+    EXPECT_EQ(a.stats.hedges_fired, 0u) << "wheel=" << wheel;
+    EXPECT_EQ(b.stats.hedges_fired, 0u) << "wheel=" << wheel;
     const auto digest = [](const RunOutcome& r) {
       return std::make_tuple(r.stats.ops_issued, r.stats.ops_completed,
                              r.stats.ops_ok, r.stats.retries,
                              r.stats.stale_replies);
     };
-    EXPECT_EQ(digest(a), digest(b)) << "cohort=" << cohort;
-    ASSERT_EQ(a.arrivals.size(), b.arrivals.size()) << "cohort=" << cohort;
+    EXPECT_EQ(digest(a), digest(b)) << "wheel=" << wheel;
+    ASSERT_EQ(a.arrivals.size(), b.arrivals.size()) << "wheel=" << wheel;
     for (std::size_t i = 0; i < a.arrivals.size(); ++i) {
       EXPECT_EQ(a.arrivals[i].at, b.arrivals[i].at) << i;
       EXPECT_EQ(a.arrivals[i].hedge, b.arrivals[i].hedge) << i;

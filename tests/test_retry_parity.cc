@@ -1,14 +1,16 @@
-// Retry parity: the standalone Client and the SoA ClientCohort implement
-// one retry protocol (client/retry_policy.h). Against identical servers —
-// a black hole, an overload rejector, a too-slow replier — a cohort of
-// one must produce the same attempt pattern, the same budget accounting,
-// and the same pacing as a standalone client, within the timer wheel's
-// quantization (the cohort's only structural difference).
+// Retry parity: ClientCohort runs one retry protocol
+// (client/retry_policy.h) on two kinds of timer — exact engine events in a
+// cohort of one, the 1 ms timer wheel in a larger cohort. Against
+// identical servers — a black hole, an overload rejector, a too-slow
+// replier — a wheel-timed client must produce the same attempt pattern,
+// the same budget accounting, and the same pacing as an exact-timed one,
+// within the wheel's quantization.
 //
-// The two implementations draw from different RNG substreams, so exact
-// event times differ by backoff jitter; everything asserted here is
-// jitter-independent (attempt sequences, budget counts) or bounded by
-// the jitter interval (inter-arrival gaps).
+// The wheel side is a cohort of two whose second client never issues, so
+// only client 0 sends traffic, drawing from the same stream as the exact
+// side. Everything asserted here is jitter-independent (attempt
+// sequences, budget counts) or bounded by the jitter interval plus the
+// wheel's rounding (inter-arrival gaps).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "client/client.h"
 #include "client/cohort.h"
 #include "client/retry_policy.h"
 #include "fstree/generator.h"
@@ -31,19 +32,21 @@ namespace {
 
 constexpr std::uint64_t kSeed = 7;
 constexpr SimTime kLatency = from_micros(100);
-/// The cohort wheel uses millisecond buckets, rounding each timer up by
+/// The wheel uses millisecond buckets, rounding each timer up by
 /// < 1 ms; a retry chains two timers (timeout, then backoff), so 3 ms
 /// absorbs the quantization with margin without weakening the gap bounds.
 constexpr SimTime kSlack = 3 * kMillisecond;
 
-/// Stat the same file forever with a fixed think time: no RNG draws, so
-/// the op stream is identical for both client implementations.
+/// Client 0 stats the same file forever with a fixed think time: no RNG
+/// draws, so the op stream is identical under both timer kinds. Every
+/// other client is done from the start.
 struct FixedWorkload final : Workload {
   FsNode* target = nullptr;
   /// Large against the cohort wheel's 1 ms buckets, so quantization
   /// stretches a cycle by a few percent, not a factor.
   SimTime think = 10 * kMillisecond;
-  SimTime next(ClientId, SimTime, Rng&, Operation* out) override {
+  SimTime next(ClientId id, SimTime, Rng&, Operation* out) override {
+    if (id != 0) return kNever;
     out->op = OpType::kStat;
     out->target = target;
     return think;
@@ -105,12 +108,12 @@ struct RunOutcome {
   std::vector<Arrival> arrivals;
 };
 
-/// Build a one-client, one-server world around `server` and run it. The
-/// server attaches first, taking address 0 — where a num_mds=1 client
-/// sends everything — and `cohort` selects which implementation drives
-/// the traffic.
+/// Build a one-server world around `server` with one active client and
+/// run it. The server attaches first, taking address 0 — where a
+/// num_mds=1 client sends everything — and `wheel` selects a cohort of
+/// two (wheel timers) over a cohort of one (exact timers).
 template <typename Server>
-RunOutcome run_world(bool cohort, const ClientRetryParams& rp,
+RunOutcome run_world(bool wheel, const ClientRetryParams& rp,
                      SimTime horizon) {
   Simulation sim;
   NetworkParams np;
@@ -135,22 +138,14 @@ RunOutcome run_world(bool cohort, const ClientRetryParams& rp,
   server.addr = net.attach(&server);
   EXPECT_EQ(server.addr, 0);
 
+  ClientCohort co(sim, net, tree, workload, *partition, dirfrag,
+                  /*count=*/wheel ? 2 : 1, /*first_id=*/0, /*num_mds=*/1,
+                  kSeed);
+  co.set_retry_policy(rp);
+  co.start();
+  sim.run_until(horizon);
   RunOutcome out;
-  if (cohort) {
-    ClientCohort co(sim, net, tree, workload, *partition, dirfrag,
-                    /*count=*/1, /*first_id=*/0, /*num_mds=*/1, kSeed);
-    co.set_retry_policy(rp);
-    co.start();
-    sim.run_until(horizon);
-    out.stats = co.stats();
-  } else {
-    Client c(sim, net, tree, workload, *partition, dirfrag, /*id=*/0,
-             /*num_mds=*/1, kSeed);
-    c.set_retry_policy(rp);
-    c.start();
-    sim.run_until(horizon);
-    out.stats = c.stats();
-  }
+  out.stats = co.stats();
   out.arrivals = server.arrivals;
   return out;
 }
@@ -179,7 +174,7 @@ void expect_same_attempt_pattern(const RunOutcome& a, const RunOutcome& b) {
     EXPECT_EQ(a.arrivals[i].attempt, b.arrivals[i].attempt) << "arrival " << i;
   }
   // Jitter and wheel quantization (< 1 ms per timer) stretch the
-  // cohort's cycles slightly, so the horizon cuts the two runs off a few
+  // wheel side's cycles slightly, so the horizon cuts the two runs off a few
   // percent apart — proportionally for fast cycles, a handful for slow.
   const std::size_t diff = a.arrivals.size() > b.arrivals.size()
                                ? a.arrivals.size() - b.arrivals.size()
@@ -193,10 +188,10 @@ TEST(RetryParity, SustainedTimeoutsSpendTheBudgetIdentically) {
   rp.budget.ratio = 0.1;
   rp.budget.cap = 3.0;
   const SimTime horizon = 3 * kSecond;
-  const RunOutcome standalone = run_world<Blackhole>(false, rp, horizon);
-  const RunOutcome cohort = run_world<Blackhole>(true, rp, horizon);
+  const RunOutcome exact = run_world<Blackhole>(false, rp, horizon);
+  const RunOutcome wheel = run_world<Blackhole>(true, rp, horizon);
 
-  for (const RunOutcome* r : {&standalone, &cohort}) {
+  for (const RunOutcome* r : {&exact, &wheel}) {
     ASSERT_GE(r->arrivals.size(), 8u);
     // One op burns the whole budget (attempts 1..3), then every fresh op
     // fails fast on its first timeout: 0,1,2,3,0,0,0,...
@@ -219,16 +214,16 @@ TEST(RetryParity, SustainedTimeoutsSpendTheBudgetIdentically) {
     EXPECT_EQ(r->stats.ops_completed, 0u);
     EXPECT_EQ(r->stats.stale_replies, 0u);
   }
-  expect_same_attempt_pattern(standalone, cohort);
+  expect_same_attempt_pattern(exact, wheel);
 }
 
 TEST(RetryParity, WithoutBudgetBothRetryForever) {
   ClientRetryParams rp = tight_policy();  // budget disabled
   const SimTime horizon = 2 * kSecond;
-  const RunOutcome standalone = run_world<Blackhole>(false, rp, horizon);
-  const RunOutcome cohort = run_world<Blackhole>(true, rp, horizon);
+  const RunOutcome exact = run_world<Blackhole>(false, rp, horizon);
+  const RunOutcome wheel = run_world<Blackhole>(true, rp, horizon);
 
-  for (const RunOutcome* r : {&standalone, &cohort}) {
+  for (const RunOutcome* r : {&exact, &wheel}) {
     ASSERT_GE(r->arrivals.size(), 5u);
     // One op, attempts strictly increasing: never abandoned.
     for (std::size_t i = 0; i < r->arrivals.size(); ++i) {
@@ -241,7 +236,7 @@ TEST(RetryParity, WithoutBudgetBothRetryForever) {
     EXPECT_GE(r->stats.retries + 1, r->arrivals.size());
     EXPECT_LE(r->stats.retries, r->arrivals.size());
   }
-  expect_same_attempt_pattern(standalone, cohort);
+  expect_same_attempt_pattern(exact, wheel);
 }
 
 TEST(RetryParity, RejectedRepliesHonorRetryAfterWithJitter) {
@@ -250,11 +245,11 @@ TEST(RetryParity, RejectedRepliesHonorRetryAfterWithJitter) {
   rp.budget.ratio = 0.1;
   rp.budget.cap = 3.0;
   const SimTime horizon = 2 * kSecond;
-  const RunOutcome standalone = run_world<Rejector>(false, rp, horizon);
-  const RunOutcome cohort = run_world<Rejector>(true, rp, horizon);
+  const RunOutcome exact = run_world<Rejector>(false, rp, horizon);
+  const RunOutcome wheel = run_world<Rejector>(true, rp, horizon);
   const SimTime retry_after = Rejector{}.retry_after;
 
-  for (const RunOutcome* r : {&standalone, &cohort}) {
+  for (const RunOutcome* r : {&exact, &wheel}) {
     ASSERT_GE(r->arrivals.size(), 8u);
     // Same budget pattern as timeouts, but the cycle is driven by fast
     // rejections, not timeout expiry: no retries, only rejected replies.
@@ -277,7 +272,7 @@ TEST(RetryParity, RejectedRepliesHonorRetryAfterWithJitter) {
     EXPECT_EQ(r->stats.ops_failed, r->stats.retries_suppressed);
     EXPECT_EQ(r->stats.ops_ok, 0u);
   }
-  expect_same_attempt_pattern(standalone, cohort);
+  expect_same_attempt_pattern(exact, wheel);
 }
 
 TEST(RetryParity, LateRepliesAfterReissueAreDiscardedAsStale) {
@@ -289,10 +284,10 @@ TEST(RetryParity, LateRepliesAfterReissueAreDiscardedAsStale) {
   // Replies arrive 250 ms after each request: past the timeout (100 ms)
   // plus any backoff (< 100 ms here), so the re-issue — under a fresh
   // req_id — always wins the race and the reply is stale on arrival.
-  const RunOutcome standalone = run_world<SlowReplier>(false, rp, horizon);
-  const RunOutcome cohort = run_world<SlowReplier>(true, rp, horizon);
+  const RunOutcome exact = run_world<SlowReplier>(false, rp, horizon);
+  const RunOutcome wheel = run_world<SlowReplier>(true, rp, horizon);
 
-  for (const RunOutcome* r : {&standalone, &cohort}) {
+  for (const RunOutcome* r : {&exact, &wheel}) {
     EXPECT_GT(r->stats.stale_replies, 0u);
     EXPECT_EQ(r->stats.ops_ok, 0u);
     EXPECT_EQ(r->stats.ops_completed, 0u);
@@ -302,7 +297,7 @@ TEST(RetryParity, LateRepliesAfterReissueAreDiscardedAsStale) {
     EXPECT_LE(r->stats.stale_replies, r->arrivals.size());
     EXPECT_GE(r->stats.stale_replies + 3, r->arrivals.size());
   }
-  expect_same_attempt_pattern(standalone, cohort);
+  expect_same_attempt_pattern(exact, wheel);
 }
 
 }  // namespace
