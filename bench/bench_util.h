@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <iostream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "common/csv.h"
@@ -67,6 +68,19 @@ inline void apply_gray_noop(SimConfig* cfg) {
   h.min_lag = std::numeric_limits<SimTime>::max();
   cfg->hedge.enabled = true;
   cfg->hedge.min_samples = std::numeric_limits<std::uint32_t>::max();
+}
+
+/// A bench's exit code: `body()`'s, or 2 when ClusterSim rejects a
+/// configuration (std::invalid_argument, such as more shards than MDSs),
+/// as for a bad flag.
+template <typename Body>
+int exit_code_of(Body body) {
+  try {
+    return body();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }
 
 /// All five strategies in the paper's legend order.

@@ -13,7 +13,9 @@
 using namespace mdsim;
 using namespace mdsim::bench;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   banner("Figure 2 — per-MDS throughput vs cluster size",
          "paper: fig 2, section 5.3 (Performance and Scalability)");
 
@@ -42,6 +44,7 @@ int main(int argc, char** argv) {
   // --shards=1 (the default) is the classic single-engine path and
   // reproduces the committed CSVs byte-for-byte; higher shard counts run
   // the parallel engine, whose output is identical for every --threads.
+  // A count above a row's num_mds is rejected: exit 2.
 
   CsvWriter csv(csv_path("fig2_scaling"), /*echo_stdout=*/false);
   csv.header({"strategy", "num_mds", "avg_mds_throughput_ops",
@@ -81,4 +84,10 @@ int main(int argc, char** argv) {
   table.print("Average MDS throughput (ops/sec) vs cluster size");
   std::cout << "\nCSV: " << csv_path("fig2_scaling") << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return exit_code_of([&] { return run(argc, argv); });
 }

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/sharded_cluster.h"
+#include "core/cluster.h"
 
 using namespace mdsim;
 using namespace mdsim::bench;
@@ -64,24 +64,11 @@ SimConfig rung_config(int clients, int shards, int threads,
   return cfg;
 }
 
-Timing run_legacy(const SimConfig& cfg, const std::string& name) {
+Timing run_rung(const SimConfig& cfg, const std::string& name) {
   Timing t;
   t.name = name;
   const auto t0 = std::chrono::steady_clock::now();
   ClusterSim cluster(cfg);
-  cluster.run();
-  const auto t1 = std::chrono::steady_clock::now();
-  t.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  t.result = summarize(cfg, {&cluster.metrics()}, cluster.sim().now());
-  t.events = cluster.sim().events_executed();
-  return t;
-}
-
-Timing run_sharded(const SimConfig& cfg, const std::string& name) {
-  Timing t;
-  t.name = name;
-  const auto t0 = std::chrono::steady_clock::now();
-  ShardedClusterSim cluster(cfg);
   cluster.run();
   const auto t1 = std::chrono::steady_clock::now();
   t.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -151,9 +138,7 @@ std::vector<int> parse_threads(const std::string& list) {
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   banner("Simulation scale ladder — sharded engine vs monolithic",
          "engine benchmark (DESIGN.md section 5f/5g); not a paper figure");
 
@@ -192,7 +177,7 @@ int main(int argc, char** argv) {
 
   if (!skip_legacy) {
     std::cout << "  [legacy_monolithic] running...\n";
-    rows.push_back(run_legacy(
+    rows.push_back(run_rung(
         rung_config(base_clients, 1, 1, base_dur, base_warm, batching),
         "legacy_monolithic"));
     announce(rows.back());
@@ -200,7 +185,7 @@ int main(int argc, char** argv) {
   for (int t : threads) {
     const std::string name = "sharded_x8_t" + std::to_string(t);
     std::cout << "  [" << name << "] running...\n";
-    rows.push_back(run_sharded(
+    rows.push_back(run_rung(
         rung_config(base_clients, 8, t, base_dur, base_warm, batching),
         name));
     announce(rows.back());
@@ -228,7 +213,7 @@ int main(int argc, char** argv) {
         const std::string name = "sharded_x8_t" + std::to_string(t) + "_c" +
                                  std::to_string(r.clients);
         std::cout << "  [" << name << "] running...\n";
-        rows.push_back(run_sharded(
+        rows.push_back(run_rung(
             rung_config(r.clients, 8, t, r.duration, r.warmup, batching),
             name));
         announce(rows.back());
@@ -258,4 +243,10 @@ int main(int argc, char** argv) {
   }
   std::cout << "  CSV: " << csv_path(csv_name) << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return exit_code_of([&] { return run(argc, argv); });
 }

@@ -17,12 +17,12 @@
 // dropped with one compare when they fire. Where the timers live follows
 // the cohort's size:
 //  - A cohort of one arms its timer straight on the engine heap at the
-//    exact due time, in one EventHandle that each re-arm cancels. The
-//    single-engine ClusterSim builds one such cohort per client.
+//    exact due time, in one EventHandle that each re-arm cancels. A
+//    one-shard ClusterSim builds one such cohort per client.
 //  - A larger cohort batches every client's timer through one shared
 //    TimerWheel with 1 ms buckets (a timer fires at the next millisecond
 //    boundary at or after its due time), so one engine event services a
-//    whole bucket. Each shard of a ShardedClusterSim is one such cohort.
+//    whole bucket. Each shard of a larger ClusterSim is one such cohort.
 // Client `id` draws from Rng(seed, 0xc11e47000 + id) in both cases, so a
 // client's stream depends on its global id, not on how clients are
 // grouped into cohorts.

@@ -1,9 +1,9 @@
 // One engine's mini-cluster: the ground-truth namespace, the shared
 // substrates (object store, anchors, network, partition, dirfrag), the MDS
-// group, the workload, the tracer and the metrics. ClusterSim is one cell
-// plus a ClientCohort of one per client (exact timers); each shard of a
-// ShardedClusterSim is one cell plus one ClientCohort of all its clients
-// (wheel timers). Topology is configuration: the same constructor
+// group, the workload, the tracer and the metrics. A one-shard ClusterSim
+// is one cell plus a ClientCohort of one per client (exact timers); each
+// shard of a larger one is one cell plus one ClientCohort of all its
+// clients (wheel timers). Topology is configuration: the same constructor
 // builds the whole cluster (one shard) or shard `s` of `shards`.
 //
 // Clients stay the caller's. It builds them against the cell's network,

@@ -2,65 +2,198 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mdsim {
 
-ClusterSim::ClusterSim(SimConfig config) : config_(std::move(config)) {}
+namespace {
+
+/// config.shards, once checked: each shard takes at least one MDS, so a
+/// count above num_mds would silently grow the cluster.
+int checked_shards(const SimConfig& config) {
+  const int most = std::min(config.num_mds, kMaxShards);
+  if (config.shards < 1 || config.shards > most) {
+    throw std::invalid_argument(
+        "shards=" + std::to_string(config.shards) + " is outside [1, " +
+        std::to_string(most) + "] for num_mds=" +
+        std::to_string(config.num_mds));
+  }
+  return config.shards;
+}
+
+}  // namespace
+
+RunResult summarize(const SimConfig& config,
+                    const std::vector<const Metrics*>& cells, SimTime now) {
+  Metrics::Totals t;
+  for (const Metrics* m : cells) m->add_totals(t);
+  RunResult r;
+  r.config = config;
+  r.avg_mds_throughput = t.avg_mds_throughput(now);
+  r.hit_rate = t.hit_rate();
+  r.prefix_fraction = t.prefix_fraction();
+  r.forward_fraction = t.forward_fraction();
+  r.mean_latency_ms = t.latency.mean() * 1e3;
+  r.replies = t.replies;
+  r.failures = t.failures;
+  return r;
+}
+
+void ClusterSim::Fabric::deliver(NetAddr global_from, NetAddr global_to,
+                                 SimTime when, MessagePtr msg) {
+  const int from = shard_of_addr(global_from);
+  const int to = shard_of_addr(global_to);
+  Network* net = owner->cell(to).net.get();
+  owner->engine_.post(
+      from, to, when,
+      InlineTask([net, global_from, global_to,
+                  m = std::move(msg)]() mutable {
+        net->deliver_remote(global_from, global_to, std::move(m));
+      }));
+}
+
+ClusterSim::ClusterSim(SimConfig config)
+    : config_(std::move(config)),
+      engine_(checked_shards(config_), config_.net.cross_base_latency) {
+  engine_.set_threads(config_.threads);
+  fabric_.owner = this;
+}
 
 ClusterSim::~ClusterSim() = default;
 
 void ClusterSim::build() {
-  if (cell_) return;
-  cell_ = std::make_unique<Cell>(sim_, config_);
-  Cell& cell = *cell_;
-
-  clients_.reserve(static_cast<std::size_t>(config_.num_clients));
-  std::vector<ClientStats*> stats;
-  for (ClientId c = 0; c < config_.num_clients; ++c) {
-    clients_.push_back(std::make_unique<ClientCohort>(
-        sim_, *cell.net, cell.tree, *cell.workload, *cell.partition,
-        *cell.dirfrag, /*count=*/1, c, config_.num_mds, config_.seed));
-    // Align each client with the user whose home it primarily works in,
-    // so permission checks reflect ownership.
-    if (config_.fs.num_users > 0) {
-      clients_.back()->set_uid(
-          0, 100 + static_cast<std::uint32_t>(c % config_.fs.num_users));
+  if (!cells_.empty()) return;
+  const int S = num_shards();
+  int first_client = 0;
+  for (int s = 0; s < S; ++s) {
+    Simulation& sim = engine_.shard(s);
+    auto cell = std::make_unique<Cell>(sim, config_, s, S,
+                                       S > 1 ? &fabric_ : nullptr);
+    // One shard: a cohort of one per client (exact timers, per-client
+    // stats). More: one wheel-timed cohort of all the shard's clients.
+    const int clients = shard_share(config_.num_clients, S, s);
+    const int cohort_size = S == 1 ? 1 : clients;
+    std::vector<ClientStats*> stats;
+    for (int first = first_client; first < first_client + clients;
+         first += cohort_size) {
+      auto cohort = std::make_unique<ClientCohort>(
+          sim, *cell->net, cell->tree, *cell->workload, *cell->partition,
+          *cell->dirfrag, cohort_size, static_cast<ClientId>(first),
+          cell->num_mds(), config_.seed);
+      // Align each client's uid with the home the workload gives it: the
+      // workload maps global client id c to homes_[c % num_users] (this
+      // cell's num_users), and user u's home is owned by uid 100 + u.
+      const int users = cell->fs.num_users;
+      for (int c = 0; users > 0 && c < cohort_size; ++c) {
+        cohort->set_uid(
+            c, 100 + static_cast<std::uint32_t>((first + c) % users));
+      }
+      cohort->set_retry_policy(config_.client_retry);
+      cohort->set_hedge_policy(config_.hedge);
+      cohort->set_tracer(cell->tracer.get());
+      stats.push_back(&cohort->stats());
+      clients_.push_back(std::move(cohort));
     }
-    clients_.back()->set_retry_policy(config_.client_retry);
-    clients_.back()->set_hedge_policy(config_.hedge);
-    clients_.back()->set_tracer(cell.tracer.get());
-    stats.push_back(&clients_.back()->stats());
+    cell->measure(std::move(stats));
+    for (auto& node : cell->mds_nodes) mds_.push_back(node.get());
+    first_client += clients;
+    cells_.push_back(std::move(cell));
   }
-  cell.measure(std::move(stats));
+  if (S > 1) build_catalogs();
+}
+
+void ClusterSim::build_catalogs() {
+  const int S = num_shards();
+  if (config_.shard_remote_fraction <= 0.0 ||
+      config_.shard_catalog_size <= 0) {
+    return;
+  }
+  for (int s = 0; s < S; ++s) {
+    // One dedicated stream per destination cohort; iteration order over
+    // source shards is fixed, so the catalog is a pure function of the
+    // configuration.
+    Rng rng(config_.seed, 0xca7a1000ULL + static_cast<std::uint64_t>(s));
+    std::vector<ClientCohort::RemoteTarget> catalog;
+    for (int t = 0; t < S; ++t) {
+      if (t == s) continue;
+      const Cell& other = cell(t);
+      const auto& files = other.tree.files();
+      if (files.empty()) continue;
+      for (int k = 0; k < config_.shard_catalog_size; ++k) {
+        FsNode* node = files[rng.uniform(files.size())];
+        MdsId authority = other.partition->authority_of(node);
+        if (authority == kInvalidMds) authority = 0;
+        catalog.push_back(ClientCohort::RemoteTarget{
+            shard_global_addr(t, authority), node->ino(),
+            node->inode().perms.uid});
+      }
+    }
+    clients_[static_cast<std::size_t>(s)]->set_remote_catalog(
+        std::move(catalog), config_.shard_remote_fraction);
+  }
+}
+
+void ClusterSim::start() {
+  for (auto& c : clients_) c->start();
+  for (auto& owned : cells_) {
+    Cell* cell = owned.get();
+    cell->sim.every(config_.sample_period, config_.sample_period,
+                    [cell]() {
+                      cell->metrics->sample(cell->sim.now());
+                      return true;
+                    });
+    if (config_.warmup > 0) {
+      cell->sim.schedule(config_.warmup, [cell]() { cell->reset_window(); });
+    }
+  }
 }
 
 void ClusterSim::run_until(SimTime t) {
   build();
   if (!started_) {
     started_ = true;
-    for (auto& c : clients_) c->start();
-    sim_.every(config_.sample_period, config_.sample_period,
-               [this]() {
-                 metrics().sample(sim_.now());
-                 return true;
-               });
-    if (config_.warmup > 0) {
-      sim_.schedule(config_.warmup, [this]() { cell_->reset_window(); });
-    }
+    start();
   }
-  sim_.run_until(t);
+  engine_.run_until(t);
 }
 
 void ClusterSim::run() { run_until(config_.duration); }
 
+RunResult ClusterSim::result() const {
+  std::vector<const Metrics*> metrics;
+  for (const auto& cell : cells_) metrics.push_back(cell->metrics.get());
+  return summarize(config_, metrics, engine_.shard(0).now());
+}
+
+ClientCohort& ClusterSim::client(int i) {
+  assert(num_shards() == 1 && "per-client cohorts are single-shard");
+  return *clients_[static_cast<std::size_t>(i)];
+}
+
+std::uint64_t ClusterSim::remote_ops() const {
+  std::uint64_t n = 0;
+  for (const auto& c : clients_) n += c->remote_ops_issued();
+  return n;
+}
+
+TraceCollector* ClusterSim::tracer() {
+  if (num_shards() == 1) return cell().tracer.get();
+  if (!config_.trace.enabled) return nullptr;
+  merged_tracer_ = std::make_unique<TraceCollector>(config_.trace.slowest_n);
+  for (const auto& c : cells_) merged_tracer_->merge(*c->tracer);
+  return merged_tracer_.get();
+}
+
 void ClusterSim::fail_mds(MdsId failed, bool warm_takeover) {
   build();
+  assert(num_shards() == 1 && "fault injection is single-shard");
   assert(failed >= 0 && failed < config_.num_mds && config_.num_mds > 1);
-  cell_->ctx->params.warm_takeover = warm_takeover;
+  cell().ctx->params.warm_takeover = warm_takeover;
   MdsNode& dead = mds(failed);
   dead.set_failed(true);
   network().set_down(failed, true);
-  fault_log().note_crash(failed, sim_.now());
+  fault_log().note_crash(failed, sim().now());
 
   // Strategies that exchange balancer heartbeats detect the crash
   // themselves: the node simply goes silent, survivors declare it dead
@@ -79,7 +212,7 @@ void ClusterSim::fail_mds(MdsId failed, bool warm_takeover) {
     mds(i).mark_peer_down(failed);
   }
   assert(!survivors.empty());
-  fault_log().note_detection(failed, survivors.front(), sim_.now());
+  fault_log().note_detection(failed, survivors.front(), sim().now());
 
   // Subtree strategies re-delegate; hashed placements would re-map their
   // hash ranges, which is exactly the expansion/contraction weakness the
@@ -99,7 +232,7 @@ void ClusterSim::fail_mds(MdsId failed, bool warm_takeover) {
     }
   }
   if (takeover_nodes.empty()) takeover_nodes.push_back(survivors.front());
-  fault_log().note_takeover(failed, sim_.now());
+  fault_log().note_takeover(failed, sim().now());
 
   if (warm_takeover) {
     // The failed node's journal lives on shared storage: every takeover
@@ -117,22 +250,24 @@ void ClusterSim::fail_mds(MdsId failed, bool warm_takeover) {
 
 void ClusterSim::set_fail_slow(MdsId node, double cpu_mult, double disk_mult) {
   build();
+  assert(num_shards() == 1 && "fault injection is single-shard");
   assert(node >= 0 && node < config_.num_mds);
   mds(node).set_fail_slow(cpu_mult, disk_mult);
   if (cpu_mult != 1.0 || disk_mult != 1.0) {
-    fault_log().note_fail_slow(node, sim_.now());
+    fault_log().note_fail_slow(node, sim().now());
   } else {
-    fault_log().note_fail_slow_cleared(node, sim_.now());
+    fault_log().note_fail_slow_cleared(node, sim().now());
   }
 }
 
 void ClusterSim::recover_mds(MdsId node) {
   build();
+  assert(num_shards() == 1 && "fault injection is single-shard");
   MdsNode& n = mds(node);
   assert(n.failed());
   n.set_failed(false);
   network().set_down(node, false);
-  fault_log().note_restart(node, sim_.now());
+  fault_log().note_restart(node, sim().now());
   // Journal replay + cache warm-up with real disk latency; serving
   // resumes immediately, recovering() clears when the replay lands.
   n.restart();
@@ -145,7 +280,7 @@ void ClusterSim::recover_mds(MdsId node) {
     if (i == node || mds(i).failed()) continue;
     mds(i).mark_peer_up(node);
   }
-  fault_log().note_marked_up(node, sim_.now());
+  fault_log().note_marked_up(node, sim().now());
 }
 
 }  // namespace mdsim

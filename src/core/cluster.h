@@ -1,8 +1,24 @@
-// Single-engine cluster: one Cell (namespace, substrates, MDS group,
-// workload, metrics) plus one ClientCohort of one client per client —
-// exact timers and per-client stats (client/cohort.h) — run while
-// sampling metrics, with the fault-injection API the figures and benches
-// drive.
+// The cluster simulation: `config.shards` cells (core/cell.h), one per
+// engine of a ShardedSimulation, each with its share of the clients, run
+// while sampling metrics, with the fault-injection API the figures and
+// benches drive. Topology is configuration, not a second class:
+//
+//  - One shard is the single-engine cluster: one cell and a ClientCohort
+//    of one per client — exact timers and per-client stats
+//    (client/cohort.h) — with no cross-shard fabric. The engine runs it
+//    straight through, without lockstep windows.
+//  - With S > 1 shards, each shard is a self-contained mini-cluster (its
+//    share of num_mds, num_clients and fs.num_users) whose clients form
+//    one wheel-timed cohort. Cross-shard traffic is client-driven: each
+//    cohort holds a frozen catalog of remote targets (sampled
+//    deterministically from the other shards' trees at build time) and
+//    issues stats against them with probability shard_remote_fraction;
+//    those requests and their replies ride the lookahead-bounded mailbox
+//    fabric (net/shard_link.h), which is what makes N-shard runs
+//    bit-stable across any thread count.
+//
+// Fault injection, partitions and MDS crash/recovery stay single-shard
+// (DESIGN.md §5f): sharded runs model healthy scale-out.
 #pragma once
 
 #include <memory>
@@ -10,11 +26,32 @@
 
 #include "client/cohort.h"
 #include "core/cell.h"
+#include "net/shard_link.h"
+#include "sim/sharded.h"
 
 namespace mdsim {
 
+struct RunResult {
+  SimConfig config;
+  double avg_mds_throughput = 0.0;  // ops/sec per MDS (fig 2)
+  double hit_rate = 0.0;            // cluster cache hit rate (fig 4)
+  double prefix_fraction = 0.0;     // prefix share of cache (fig 3)
+  double forward_fraction = 0.0;    // forwarded / client requests
+  double mean_latency_ms = 0.0;
+  std::uint64_t replies = 0;
+  std::uint64_t failures = 0;
+};
+
+/// Summarize a run at `now` from the metrics of its cells, in cell order:
+/// integer counts are summed across cells before anything is divided.
+RunResult summarize(const SimConfig& config,
+                    const std::vector<const Metrics*>& cells, SimTime now);
+
 class ClusterSim {
  public:
+  /// Throws std::invalid_argument unless 1 <= config.shards <=
+  /// min(config.num_mds, kMaxShards): every shard needs an MDS of its own,
+  /// and a larger count would grow the cluster past num_mds.
   explicit ClusterSim(SimConfig config);
   ~ClusterSim();
   ClusterSim(const ClusterSim&) = delete;
@@ -25,6 +62,9 @@ class ClusterSim {
   /// Run to an arbitrary time (tests drive the simulation piecewise).
   void run_until(SimTime t);
 
+  /// Aggregates over every cell at shard 0's clock.
+  RunResult result() const;
+
   /// Crash an MDS (paper sections 2.1.2 and 4.6): the node goes silent
   /// and off the network; nothing else is told. Survivors detect the
   /// death from missed balancer heartbeats and the lowest live id
@@ -33,6 +73,7 @@ class ClusterSim {
   /// MdsParams::warm_takeover cluster-wide for this run). Strategies
   /// without heartbeats (hashed / static subtree) get the redistribution
   /// applied directly, as they have no detector to find it.
+  /// Single-shard only, as is every fault call below.
   void fail_mds(MdsId failed, bool warm_takeover = true);
   /// Restart a crashed MDS: rejoin the network, replay its own bounded
   /// journal against the object store (real disk latency), and resume
@@ -46,43 +87,64 @@ class ClusterSim {
   /// — detection is the health layer's job, not the fault's.
   void set_fail_slow(MdsId node, double cpu_mult, double disk_mult);
 
-  /// Failure-lifecycle incident log (crash / detection / takeover /
-  /// restart / rejoin timestamps for every injected fault).
-  FaultLog& fault_log() { return cell_->fault_log; }
-
   const SimConfig& config() const { return config_; }
-  Simulation& sim() { return sim_; }
-  FsTree& tree() { return cell_->tree; }
-  Network& network() { return *cell_->net; }
-  Partitioner& partition() { return *cell_->partition; }
-  DirFragRegistry& dirfrag() { return *cell_->dirfrag; }
-  ObjectStore& object_store() { return cell_->store; }
-  AnchorTable& anchors() { return cell_->anchors; }
-  LazyHybridManager* lazy() { return cell_->lazy.get(); }
-  Workload& workload() { return *cell_->workload; }
-  const NamespaceInfo& namespace_info() const { return cell_->ns_info; }
+  ShardedSimulation& engine() { return engine_; }
+  int num_shards() const { return engine_.shard_count(); }
+  /// Shard 0's engine: the whole cluster's with one shard.
+  Simulation& sim() { return engine_.shard(0); }
+  /// Shard s's cell (valid once built: after the first run call).
+  Cell& cell(int s = 0) { return *cells_[static_cast<std::size_t>(s)]; }
 
-  MdsNode& mds(int i) {
-    return *cell_->mds_nodes[static_cast<std::size_t>(i)];
-  }
+  // Shard 0's cell parts: the whole cluster's with one shard.
+  FaultLog& fault_log() { return cell().fault_log; }
+  FsTree& tree() { return cell().tree; }
+  Network& network() { return *cell().net; }
+  Partitioner& partition() { return *cell().partition; }
+  DirFragRegistry& dirfrag() { return *cell().dirfrag; }
+  ObjectStore& object_store() { return cell().store; }
+  AnchorTable& anchors() { return cell().anchors; }
+  LazyHybridManager* lazy() { return cell().lazy.get(); }
+  Workload& workload() { return *cell().workload; }
+  const NamespaceInfo& namespace_info() const { return cells_[0]->ns_info; }
+  Metrics& metrics() { return *cell().metrics; }
+
+  /// MDS i in global order: shard 0's MDSs, then shard 1's, and so on.
+  MdsNode& mds(int i) { return *mds_[static_cast<std::size_t>(i)]; }
   int num_mds() const { return config_.num_mds; }
-  /// Client i, as its own cohort of one.
-  ClientCohort& client(int i) {
-    return *clients_[static_cast<std::size_t>(i)];
-  }
-  int num_clients() const { return static_cast<int>(clients_.size()); }
+  /// Client i, as its own cohort of one. Single-shard only: a shard of a
+  /// larger cluster keeps one cohort's aggregate stats.
+  ClientCohort& client(int i);
+  int num_clients() const { return config_.num_clients; }
+  /// Cross-shard stats issued by every cohort.
+  std::uint64_t remote_ops() const;
 
-  Metrics& metrics() { return *cell_->metrics; }
-  /// Per-request trace collector; null unless config.trace.enabled.
-  TraceCollector* tracer() { return cell_->tracer.get(); }
+  /// Per-request trace collector; null unless config.trace.enabled. With
+  /// one shard it is the cell's own; with more, a merge of every cell's,
+  /// rebuilt on each call.
+  TraceCollector* tracer();
 
  private:
+  /// Ferries cross-shard messages: source/destination shards are decoded
+  /// from the global addresses, so one fabric serves every network.
+  struct Fabric final : CrossShardLink {
+    ClusterSim* owner = nullptr;
+    void deliver(NetAddr global_from, NetAddr global_to, SimTime when,
+                 MessagePtr msg) override;
+  };
+
   void build();
+  void build_catalogs();
+  void start();
 
   SimConfig config_;
-  Simulation sim_;
-  std::unique_ptr<Cell> cell_;  // built lazily, on first use
+  ShardedSimulation engine_;
+  Fabric fabric_;
+  // Built lazily, on first use.
+  std::vector<std::unique_ptr<Cell>> cells_;
+  /// With one shard, one cohort per client; with more, one per shard.
   std::vector<std::unique_ptr<ClientCohort>> clients_;
+  std::vector<MdsNode*> mds_;  // every cell's, in global order
+  std::unique_ptr<TraceCollector> merged_tracer_;
   bool started_ = false;
 };
 

@@ -74,13 +74,13 @@ struct SimConfig {
   /// discarded by req-id matching. Off by default (zero-cost-off).
   HedgeParams hedge;
 
-  /// Parallel simulation (core/sharded_cluster.h). shards == 1 is the
-  /// classic single-engine ClusterSim path, bit-for-bit unchanged; with
-  /// shards > 1 the system is split into that many self-contained
-  /// mini-clusters (num_mds, num_clients and fs.num_users divided among
-  /// them) advancing in lookahead-bounded lockstep windows. `threads`
-  /// sets the worker count inside windows — results are identical for
-  /// every value, by construction.
+  /// Parallel simulation (core/cluster.h). shards == 1 is the classic
+  /// single-engine cluster; with shards > 1 the system is split into that
+  /// many self-contained mini-clusters (num_mds, num_clients and
+  /// fs.num_users divided among them) advancing in lookahead-bounded
+  /// lockstep windows. ClusterSim rejects a count outside
+  /// [1, min(num_mds, kMaxShards)]. `threads` sets the worker count inside
+  /// windows — results are identical for every value, by construction.
   int shards = 1;
   int threads = 1;
   /// Probability that a cohort client's think-turn targets another shard

@@ -1,41 +1,16 @@
 #include "core/experiment.h"
 
 #include <atomic>
-#include <cassert>
+#include <exception>
 #include <thread>
-
-#include "core/sharded_cluster.h"
 
 namespace mdsim {
 
-RunResult summarize(const SimConfig& config,
-                    const std::vector<const Metrics*>& cells, SimTime now) {
-  Metrics::Totals t;
-  for (const Metrics* m : cells) m->add_totals(t);
-  RunResult r;
-  r.config = config;
-  r.avg_mds_throughput = t.avg_mds_throughput(now);
-  r.hit_rate = t.hit_rate();
-  r.prefix_fraction = t.prefix_fraction();
-  r.forward_fraction = t.forward_fraction();
-  r.mean_latency_ms = t.latency.mean() * 1e3;
-  r.replies = t.replies;
-  r.failures = t.failures;
-  return r;
-}
-
 RunResult run_one(const SimConfig& config,
                   const std::function<void(ClusterSim&)>& inspect) {
-  if (config.shards > 1) {
-    // Parallel engine; `inspect` takes a ClusterSim and cannot apply.
-    assert(!inspect && "inspect hooks are single-cluster only");
-    ShardedClusterSim cluster(config);
-    cluster.run();
-    return cluster.result();
-  }
   ClusterSim cluster(config);
   cluster.run();
-  RunResult r = summarize(config, {&cluster.metrics()}, cluster.sim().now());
+  RunResult r = cluster.result();
   if (inspect) inspect(cluster);
   return r;
 }
@@ -54,11 +29,17 @@ std::vector<RunResult> run_batch(const std::vector<SimConfig>& configs,
   }
 
   std::atomic<std::size_t> next{0};
+  // What a run threw, rethrown on the calling thread after the join.
+  std::vector<std::exception_ptr> errors(configs.size());
   auto worker = [&]() {
     while (true) {
       const std::size_t i = next.fetch_add(1);
       if (i >= configs.size()) return;
-      results[i] = run_one(configs[i]);
+      try {
+        results[i] = run_one(configs[i]);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
   };
   std::vector<std::thread> pool;
@@ -67,6 +48,9 @@ std::vector<RunResult> run_batch(const std::vector<SimConfig>& configs,
   pool.reserve(n);
   for (unsigned t = 0; t < n; ++t) pool.emplace_back(worker);
   for (auto& t : pool) t.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
   return results;
 }
 

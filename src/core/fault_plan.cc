@@ -1,5 +1,7 @@
 #include "core/fault_plan.h"
 
+#include <cassert>
+
 #include "common/rng.h"
 
 namespace mdsim {
@@ -123,6 +125,7 @@ FaultPlan FaultPlan::randomize(std::uint64_t seed, int num_mds,
 }
 
 void FaultPlan::arm(ClusterSim& cluster) const {
+  assert(cluster.num_shards() == 1 && "fault injection is single-shard");
   Simulation& sim = cluster.sim();
   for (const CrashAction& c : crashes_) {
     sim.schedule_at(c.at, [&cluster, node = c.node, warm = c.warm]() {

@@ -64,7 +64,7 @@ class FaultPlan {
                              SimTime duration);
 
   /// Schedule every scripted action on the cluster's simulation clock.
-  /// The cluster must outlive the run; call once.
+  /// The cluster must have one shard and outlive the run; call once.
   void arm(ClusterSim& cluster) const;
 
   bool empty() const {

@@ -68,7 +68,8 @@ class ShardedSimulation {
   /// work of that shard.
   void post(int from, int to, SimTime when, InlineTask task);
 
-  /// Advance every shard to `until` in lockstep windows. Semantics match
+  /// Advance every shard to `until` in lockstep windows (one shard runs
+  /// straight through: nothing can post to it). Semantics match
   /// Simulation::run_until per shard: events with time <= until execute,
   /// clocks end at exactly `until`. Returns total events executed.
   std::uint64_t run_until(SimTime until);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/experiment.h"
 #include "test_util.h"
 
@@ -154,6 +156,14 @@ TEST(Experiment, BatchRunsAllConfigsInOrder) {
   EXPECT_EQ(results[0].config.num_mds, 2);
   EXPECT_EQ(results[1].config.num_mds, 3);
   for (const auto& r : results) EXPECT_GT(r.replies, 100u);
+}
+
+TEST(Experiment, BatchForwardsARejectedConfigToTheCaller) {
+  SimConfig ok = small_config(StrategyKind::kStaticSubtree);
+  ok.duration = kSecond / 2;
+  SimConfig bad = ok;
+  bad.shards = bad.num_mds + 1;
+  EXPECT_THROW(run_batch({ok, bad}, 2), std::invalid_argument);
 }
 
 TEST(Workloads, ScientificClusterRuns) {

@@ -17,7 +17,6 @@
 #include "client/retry_policy.h"
 #include "core/cluster.h"
 #include "core/experiment.h"
-#include "core/sharded_cluster.h"
 #include "mds/admission.h"
 #include "test_util.h"
 
@@ -327,7 +326,7 @@ RunResult run_sharded_overloaded(int threads) {
   cfg.mds.overload.admit_burst = 8.0;
   cfg.client_retry.budget.enabled = true;
   cfg.client_retry.budget.cap = 4.0;
-  ShardedClusterSim cluster(cfg);
+  ClusterSim cluster(cfg);
   cluster.run();
   return cluster.result();
 }

@@ -8,7 +8,7 @@
 
 #include <cstdint>
 
-#include "core/sharded_cluster.h"
+#include "core/cluster.h"
 
 namespace mdsim {
 namespace {
@@ -30,7 +30,7 @@ ScaleRun run_100k(int threads) {
   cfg.threads = threads;
   cfg.duration = kSecond / 2;
   cfg.warmup = kSecond / 8;
-  ShardedClusterSim cluster(cfg);
+  ClusterSim cluster(cfg);
   cluster.run();
   ScaleRun r;
   r.result = cluster.result();
@@ -53,7 +53,7 @@ ScaleRun run_workload(WorkloadKind kind, int threads) {
   cfg.shards = 4;
   cfg.threads = threads;
   cfg.duration = cfg.warmup + kSecond;
-  ShardedClusterSim cluster(cfg);
+  ClusterSim cluster(cfg);
   cluster.run();
   ScaleRun r;
   r.result = cluster.result();

@@ -2,12 +2,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "core/sharded_cluster.h"
+#include "core/experiment.h"
 #include "sim/sharded.h"
 
 namespace mdsim {
@@ -63,6 +64,7 @@ TEST(ShardedSim, SingleShardMatchesPlainSimulation) {
 
   EXPECT_EQ(plain_trace, sharded_trace);
   EXPECT_EQ(plain_events, sharded_events);
+  EXPECT_EQ(plain.events_executed(), eng.events_executed());
   EXPECT_EQ(plain.now(), eng.shard(0).now());
 }
 
@@ -196,7 +198,7 @@ RunResult run_cluster(int threads, std::uint64_t* events) {
   cfg.warmup = 100 * kMillisecond;
   cfg.shards = 2;
   cfg.threads = threads;
-  ShardedClusterSim cluster(cfg);
+  ClusterSim cluster(cfg);
   cluster.run();
   *events = cluster.engine().events_executed();
   return cluster.result();
@@ -231,9 +233,66 @@ TEST(ShardedSim, FlashCrowdBaselineLoadRunsBeforeTheCrowd) {
   cfg.warmup = 100 * kMillisecond;
   cfg.shards = 2;
   ASSERT_LE(cfg.duration, cfg.flash.start);
-  ShardedClusterSim cluster(cfg);
+  ClusterSim cluster(cfg);
   cluster.run();
   EXPECT_GT(cluster.result().replies, 0u);
+}
+
+// --- one cluster type at any shard count -------------------------------
+
+SimConfig two_shard_config() {
+  SimConfig cfg;
+  cfg.num_mds = 4;
+  cfg.num_clients = 40;
+  cfg.fs.num_users = 4;
+  cfg.fs.nodes_per_user = 200;
+  cfg.duration = 3 * kSecond;
+  cfg.warmup = kSecond;
+  cfg.shards = 2;
+  return cfg;
+}
+
+TEST(ClusterSim, RejectsShardCountsOutsideOneToNumMds) {
+  SimConfig cfg = two_shard_config();
+  for (int shards : {0, -1, cfg.num_mds + 1}) {
+    cfg.shards = shards;
+    EXPECT_THROW(ClusterSim{cfg}, std::invalid_argument) << shards;
+  }
+  cfg.shards = cfg.num_mds;  // one MDS per shard is the most there is
+  EXPECT_NO_THROW(ClusterSim{cfg});
+  // Global addresses cap the engine at kMaxShards, however many MDSs.
+  cfg.num_mds = kMaxShards + 1;
+  cfg.shards = kMaxShards + 1;
+  EXPECT_THROW(ClusterSim{cfg}, std::invalid_argument);
+}
+
+// Every cell samples its Metrics each sample_period, whatever the shard
+// count, so the figure time series exist for sharded runs too.
+TEST(ClusterSim, ShardedCellsSampleTimeSeries) {
+  ClusterSim cluster(two_shard_config());
+  cluster.run();
+  ASSERT_EQ(cluster.num_shards(), 2);
+  for (int s = 0; s < cluster.num_shards(); ++s) {
+    EXPECT_FALSE(cluster.cell(s).metrics->avg_throughput().empty()) << s;
+  }
+}
+
+// run_one takes every shard count through one path, inspect hook included:
+// the hook sees the whole cluster's MDSs in global order.
+TEST(ShardedSim, RunOneInspectHookSeesEveryShardsMds) {
+  SimConfig cfg = two_shard_config();
+  cfg.warmup = 0;  // the result then counts every reply the nodes sent
+  int shards = 0;
+  std::uint64_t replies = 0;
+  const RunResult r = run_one(cfg, [&](ClusterSim& cluster) {
+    shards = cluster.num_shards();
+    for (int i = 0; i < cluster.num_mds(); ++i) {
+      replies += cluster.mds(i).stats().replies_sent;
+    }
+  });
+  EXPECT_EQ(shards, 2);
+  EXPECT_GT(r.replies, 0u);
+  EXPECT_EQ(replies, r.replies);
 }
 
 }  // namespace
