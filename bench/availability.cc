@@ -108,13 +108,15 @@ int run_crash(bool quick) {
       m.avg_throughput().mean_in(restart_at + 5 * kSecond, cfg.duration,
                                  /*include_end=*/true);
 
+  const FaultLog& log = cluster.fault_log();
+  const SimTime now = cluster.sim().now();
   std::cout << "Lifecycle spans (FaultLog):\n";
   print_summary("detection latency (crash -> first survivor detection)",
-                m.detection_latency_seconds());
+                log.detection_latency_seconds(now));
   print_summary("unavailability (crash -> delegations taken over)",
-                m.unavailability_seconds());
+                log.unavailability_seconds(now));
   print_summary("recovery time (restart -> journal replayed, rejoined)",
-                m.recovery_time_seconds());
+                log.recovery_time_seconds(now));
   std::cout << "Counters: detections " << detections << "; takeovers "
             << takeovers << "; warm-replayed items " << warm_items
             << "; client retries " << retries << "; stale replies " << stale
@@ -178,16 +180,18 @@ int run_partition(bool quick) {
   const double healed = m.avg_throughput().mean_in(
       heal_at + 3 * kSecond, cfg.duration, /*include_end=*/true);
 
+  const double stall =
+      cluster.fault_log().minority_stall_seconds(cluster.sim().now());
   std::cout << "Lifecycle spans (FaultLog):\n";
   for (const auto& f : cluster.fault_log().fence_incidents()) {
     std::cout << "  mds " << f.node << " fenced at "
-              << fmt_double(to_seconds(f.fenced_at), 3) << " s ("
-              << fmt_double(to_seconds(f.fenced_at) - to_seconds(cut_at), 3)
+              << fmt_double(to_seconds(f.began_at), 3) << " s ("
+              << fmt_double(to_seconds(f.began_at) - to_seconds(cut_at), 3)
               << " s after the cut), unfenced at "
-              << fmt_double(to_seconds(f.unfenced_at), 3) << " s\n";
+              << fmt_double(to_seconds(f.ended_at), 3) << " s\n";
   }
   std::cout << "  minority write stall (fenced node-seconds): "
-            << fmt_double(m.minority_stall_seconds(), 3) << " s\n";
+            << fmt_double(stall, 3) << " s\n";
   std::cout << "Counters: fences " << fences << "; unfences " << unfences
             << "; writes parked while fenced " << parked
             << "; stale-epoch rejects " << stale_rejects

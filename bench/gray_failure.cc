@@ -178,7 +178,8 @@ Outcome run_arm(const SimConfig& cfg, const FaultPlan* plan) {
   for (int c = 0; c < cluster.num_clients(); ++c) {
     out.stale += cluster.client(c).stats().stale_replies;
   }
-  out.gray_seconds = m.gray_degraded_seconds();
+  out.gray_seconds =
+      cluster.fault_log().gray_degraded_seconds(cluster.sim().now());
   out.gray_incidents = cluster.fault_log().gray_incidents().size();
   out.victim_migrations_out = cluster.mds(kVictim).stats().migrations_out;
   if (g_verbose) {

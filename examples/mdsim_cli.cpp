@@ -19,6 +19,7 @@
 //   --csv PATH         write the per-sample throughput series
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "common/csv.h"
@@ -125,9 +126,14 @@ int main(int argc, char** argv) {
   ClusterSim cluster(cfg);
   if (fail_at > 0) {
     cluster.run_until(from_seconds(fail_at));
+    try {
+      cluster.fail_mds(fail_node);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "--fail-node " << fail_node << ": " << e.what() << "\n";
+      return 2;
+    }
     std::cout << "Failing MDS " << fail_node << " at t=" << fail_at
               << "s\n";
-    cluster.fail_mds(fail_node);
   }
   cluster.run();
 

@@ -5,8 +5,10 @@
 // survivor (missed heartbeats), takeover (delegations redistributed and
 // the journal replayed by heirs), restart (process back, replaying its
 // log), rejoin (replay finished, serving again) and re-mark-up (the first
-// survivor that heard a heartbeat again). Metrics derives detection
-// latency, unavailability windows and recovery time from these stamps.
+// survivor that heard a heartbeat again). Detection latency,
+// unavailability windows and recovery time are derived from these stamps.
+// Fences, overload episodes, gray flags and fail-slow injections are
+// NodeWindows: one span per node, open until closed.
 #pragma once
 
 #include <cstdint>
@@ -33,58 +35,27 @@ struct FaultIncident {
   bool has(SimTime t) const { return t != kUnset; }
 };
 
-/// A node losing (and possibly regaining) its authority lease: the span
-/// it spent self-fenced — not serving writes — because it could not hear
-/// a quorum. Distinct from FaultIncident: the process is up the whole
-/// time; the network partitioned it away.
-struct FenceIncident {
-  static constexpr SimTime kUnset = FaultIncident::kUnset;
-
-  MdsId node = kInvalidMds;
-  SimTime fenced_at = kUnset;
-  SimTime unfenced_at = kUnset;
-  bool open = true;
-};
-
-/// An MDS shedding load at admission. Consecutive sheds on one node are
-/// coalesced into an episode: the episode stays open while sheds keep
-/// arriving and closes after a quiet gap (no shed for kQuietGap). The
-/// episode span approximates "time spent in overload" the way fence
-/// incidents approximate time spent partitioned.
-struct OverloadIncident {
+/// A per-node span that opens and (maybe) closes: the one record shape
+/// behind every non-crash window in the log. Distinct from FaultIncident,
+/// whose six milestones track a crash; here the process stays up.
+///  - fence: the node self-fenced (lost its authority lease and stopped
+///    serving writes) because a partition cut it off from a quorum.
+///  - overload: an episode of admission sheds. `ended_at` is the last
+///    shed and `count` the number of sheds; the episode closes after a
+///    quiet gap, so its span approximates time spent in overload.
+///  - gray: a peer's health score (EWMA of heartbeat lag plus
+///    self-reported service lag) crossed the degraded threshold. `by` is
+///    the first detector. This is what the detector saw.
+///  - fail-slow: the injection ground truth (ClusterSim::set_fail_slow),
+///    which benches compare the gray windows against.
+struct NodeWindow {
   static constexpr SimTime kUnset = FaultIncident::kUnset;
 
   MdsId node = kInvalidMds;
   SimTime began_at = kUnset;
-  SimTime last_shed_at = kUnset;
-  std::uint64_t sheds = 0;
-  bool open = true;
-};
-
-/// A peer observed to be gray-degraded: its health score (EWMA of
-/// heartbeat lag + self-reported service lag) crossed the degraded
-/// threshold at some MDS. Distinct from FaultIncident (the node is alive
-/// and heartbeating) and from the *injection* record below: this is what
-/// the detector saw, that is what was actually done to the node.
-struct GrayIncident {
-  static constexpr SimTime kUnset = FaultIncident::kUnset;
-
-  MdsId node = kInvalidMds;
-  SimTime degraded_at = kUnset;
-  SimTime recovered_at = kUnset;
-  MdsId detected_by = kInvalidMds;  // first detector
-  bool open = true;
-};
-
-/// Injection ground truth: the window in which a fail-slow fault was
-/// actually installed on a node (ClusterSim::set_fail_slow). Benches
-/// compare detected GrayIncidents against these.
-struct FailSlowIncident {
-  static constexpr SimTime kUnset = FaultIncident::kUnset;
-
-  MdsId node = kInvalidMds;
-  SimTime began_at = kUnset;
-  SimTime cleared_at = kUnset;
+  SimTime ended_at = kUnset;
+  MdsId by = kInvalidMds;
+  std::uint64_t count = 0;
   bool open = true;
 };
 
@@ -92,7 +63,7 @@ class FaultLog {
  public:
   void note_crash(MdsId node, SimTime now) {
     // A re-crash closes any incident still open for the node.
-    if (FaultIncident* inc = open_incident(node)) inc->open = false;
+    if (FaultIncident* inc = open_of(incidents_, node)) inc->open = false;
     FaultIncident fresh;
     fresh.node = node;
     fresh.crashed_at = now;
@@ -100,124 +71,92 @@ class FaultLog {
   }
 
   void note_detection(MdsId node, MdsId by, SimTime now) {
-    FaultIncident* inc = open_incident(node);
+    FaultIncident* inc = open_of(incidents_, node);
     if (inc == nullptr || inc->has(inc->detected_at)) return;
     inc->detected_at = now;
     inc->detected_by = by;
   }
 
   void note_takeover(MdsId node, SimTime now) {
-    FaultIncident* inc = open_incident(node);
+    FaultIncident* inc = open_of(incidents_, node);
     if (inc == nullptr || inc->has(inc->takeover_at)) return;
     inc->takeover_at = now;
   }
 
   void note_restart(MdsId node, SimTime now) {
-    FaultIncident* inc = open_incident(node);
+    FaultIncident* inc = open_of(incidents_, node);
     if (inc == nullptr || inc->has(inc->restarted_at)) return;
     inc->restarted_at = now;
   }
 
   void note_rejoin(MdsId node, SimTime now) {
-    FaultIncident* inc = open_incident(node);
+    FaultIncident* inc = open_of(incidents_, node);
     if (inc == nullptr || inc->has(inc->rejoined_at)) return;
     inc->rejoined_at = now;
     maybe_close(*inc);
   }
 
   void note_marked_up(MdsId node, SimTime now) {
-    FaultIncident* inc = open_incident(node);
+    FaultIncident* inc = open_of(incidents_, node);
     if (inc == nullptr || inc->has(inc->remarked_up_at)) return;
     inc->remarked_up_at = now;
     maybe_close(*inc);
   }
 
-  void note_fenced(MdsId node, SimTime now) {
-    if (open_fence(node) != nullptr) return;
-    FenceIncident f;
-    f.node = node;
-    f.fenced_at = now;
-    fences_.push_back(f);
-  }
-
+  void note_fenced(MdsId node, SimTime now) { open_window(fences_, node, now); }
   void note_unfenced(MdsId node, SimTime now) {
-    FenceIncident* f = open_fence(node);
-    if (f == nullptr) return;
-    f->unfenced_at = now;
-    f->open = false;
+    close_window(fences_, node, now);
   }
 
   /// One admission-gate shed on `node`. Extends the node's open overload
   /// episode, or opens a new one after a quiet gap.
   void note_shed(MdsId node, SimTime now) {
-    OverloadIncident* inc = open_overload(node);
-    if (inc != nullptr && now - inc->last_shed_at > kQuietGap) {
-      inc->open = false;
-      inc = nullptr;
+    NodeWindow* w = open_of(overloads_, node);
+    if (w != nullptr && now - w->ended_at > kQuietGap) {
+      w->open = false;
+      w = nullptr;
     }
-    if (inc == nullptr) {
-      inc = &overloads_.emplace_back();
-      inc->node = node;
-      inc->began_at = now;
-    }
-    inc->last_shed_at = now;
-    ++inc->sheds;
+    if (w == nullptr) w = open_window(overloads_, node, now);
+    w->ended_at = now;
+    ++w->count;
   }
 
   /// First detector to see `node` cross the degraded threshold opens the
-  /// incident; later detectors are no-ops while it stays open.
+  /// window; later detectors are no-ops while it stays open.
   void note_gray_degraded(MdsId node, MdsId by, SimTime now) {
-    if (open_gray(node) != nullptr) return;
-    GrayIncident g;
-    g.node = node;
-    g.degraded_at = now;
-    g.detected_by = by;
-    grays_.push_back(g);
+    if (NodeWindow* w = open_window(grays_, node, now)) w->by = by;
   }
-
   void note_gray_recovered(MdsId node, SimTime now) {
-    GrayIncident* g = open_gray(node);
-    if (g == nullptr) return;
-    g->recovered_at = now;
-    g->open = false;
+    close_window(grays_, node, now);
   }
 
   /// Injection bookkeeping (ClusterSim::set_fail_slow).
   void note_fail_slow(MdsId node, SimTime now) {
-    if (open_fail_slow(node) != nullptr) return;
-    FailSlowIncident f;
-    f.node = node;
-    f.began_at = now;
-    fail_slows_.push_back(f);
+    open_window(fail_slows_, node, now);
   }
-
   void note_fail_slow_cleared(MdsId node, SimTime now) {
-    FailSlowIncident* f = open_fail_slow(node);
-    if (f == nullptr) return;
-    f->cleared_at = now;
-    f->open = false;
+    close_window(fail_slows_, node, now);
   }
 
   const std::vector<FaultIncident>& incidents() const { return incidents_; }
-  const std::vector<FenceIncident>& fence_incidents() const { return fences_; }
-  const std::vector<OverloadIncident>& overload_incidents() const {
+  const std::vector<NodeWindow>& fence_incidents() const { return fences_; }
+  const std::vector<NodeWindow>& overload_incidents() const {
     return overloads_;
   }
-  const std::vector<GrayIncident>& gray_incidents() const { return grays_; }
-  const std::vector<FailSlowIncident>& fail_slow_incidents() const {
+  const std::vector<NodeWindow>& gray_incidents() const { return grays_; }
+  const std::vector<NodeWindow>& fail_slow_incidents() const {
     return fail_slows_;
   }
 
   /// Total seconds peers were flagged gray-degraded, right-censoring
-  /// incidents still open at `asof`.
+  /// windows still open at `asof`.
   double gray_degraded_seconds(SimTime asof) const {
-    double total = 0.0;
-    for (const GrayIncident& g : grays_) {
-      const SimTime end = g.open ? asof : g.recovered_at;
-      if (end == GrayIncident::kUnset || end < g.degraded_at) continue;
-      total += to_seconds(end - g.degraded_at);
-    }
-    return total;
+    return censored_seconds(grays_, asof);
+  }
+  /// Total seconds nodes spent self-fenced (minority-side write stall),
+  /// right-censoring windows still open at `asof`.
+  double minority_stall_seconds(SimTime asof) const {
+    return censored_seconds(fences_, asof);
   }
 
   /// Crash -> first survivor detection. `asof` (usually the run end)
@@ -245,9 +184,8 @@ class FaultLog {
   /// contributes its whole span.
   Summary overload_episode_seconds(SimTime /*asof*/) const {
     Summary s;
-    for (const OverloadIncident& o : overloads_) {
-      if (o.began_at == OverloadIncident::kUnset) continue;
-      s.add(to_seconds(o.last_shed_at - o.began_at));
+    for (const NodeWindow& o : overloads_) {
+      s.add(to_seconds(o.ended_at - o.began_at));
     }
     return s;
   }
@@ -255,20 +193,8 @@ class FaultLog {
   /// Total requests shed at admission, across all nodes and episodes.
   std::uint64_t total_sheds() const {
     std::uint64_t n = 0;
-    for (const OverloadIncident& o : overloads_) n += o.sheds;
+    for (const NodeWindow& o : overloads_) n += o.count;
     return n;
-  }
-
-  /// Total seconds nodes spent self-fenced (minority-side write stall).
-  /// Still-open fences are censored at `asof`.
-  double minority_stall_seconds(SimTime asof) const {
-    double total = 0.0;
-    for (const FenceIncident& f : fences_) {
-      const SimTime end = f.open ? asof : f.unfenced_at;
-      if (end == FenceIncident::kUnset || end < f.fenced_at) continue;
-      total += to_seconds(end - f.fenced_at);
-    }
-    return total;
   }
 
  private:
@@ -280,39 +206,43 @@ class FaultLog {
     }
   }
 
-  FaultIncident* open_incident(MdsId node) {
-    for (auto it = incidents_.rbegin(); it != incidents_.rend(); ++it) {
+  /// The latest record still open for `node`, or null.
+  template <typename Record>
+  static Record* open_of(std::vector<Record>& records, MdsId node) {
+    for (auto it = records.rbegin(); it != records.rend(); ++it) {
       if (it->node == node && it->open) return &*it;
     }
     return nullptr;
   }
 
-  FenceIncident* open_fence(MdsId node) {
-    for (auto it = fences_.rbegin(); it != fences_.rend(); ++it) {
-      if (it->node == node && it->open) return &*it;
-    }
-    return nullptr;
+  /// Open a window for `node` at `now`; null if one is already open.
+  static NodeWindow* open_window(std::vector<NodeWindow>& windows,
+                                 MdsId node, SimTime now) {
+    if (open_of(windows, node) != nullptr) return nullptr;
+    NodeWindow& w = windows.emplace_back();
+    w.node = node;
+    w.began_at = now;
+    return &w;
   }
 
-  OverloadIncident* open_overload(MdsId node) {
-    for (auto it = overloads_.rbegin(); it != overloads_.rend(); ++it) {
-      if (it->node == node && it->open) return &*it;
-    }
-    return nullptr;
+  static void close_window(std::vector<NodeWindow>& windows, MdsId node,
+                           SimTime now) {
+    NodeWindow* w = open_of(windows, node);
+    if (w == nullptr) return;
+    w->ended_at = now;
+    w->open = false;
   }
 
-  GrayIncident* open_gray(MdsId node) {
-    for (auto it = grays_.rbegin(); it != grays_.rend(); ++it) {
-      if (it->node == node && it->open) return &*it;
+  /// Summed window spans, open windows censored at `asof`.
+  static double censored_seconds(const std::vector<NodeWindow>& windows,
+                                 SimTime asof) {
+    double total = 0.0;
+    for (const NodeWindow& w : windows) {
+      const SimTime end = w.open ? asof : w.ended_at;
+      if (end == NodeWindow::kUnset || end < w.began_at) continue;
+      total += to_seconds(end - w.began_at);
     }
-    return nullptr;
-  }
-
-  FailSlowIncident* open_fail_slow(MdsId node) {
-    for (auto it = fail_slows_.rbegin(); it != fail_slows_.rend(); ++it) {
-      if (it->node == node && it->open) return &*it;
-    }
-    return nullptr;
+    return total;
   }
 
   template <typename End, typename Begin>
@@ -336,10 +266,10 @@ class FaultLog {
   static constexpr SimTime kQuietGap = kSecond;
 
   std::vector<FaultIncident> incidents_;
-  std::vector<FenceIncident> fences_;
-  std::vector<OverloadIncident> overloads_;
-  std::vector<GrayIncident> grays_;
-  std::vector<FailSlowIncident> fail_slows_;
+  std::vector<NodeWindow> fences_;
+  std::vector<NodeWindow> overloads_;
+  std::vector<NodeWindow> grays_;
+  std::vector<NodeWindow> fail_slows_;
 };
 
 }  // namespace mdsim

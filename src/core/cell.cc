@@ -129,8 +129,7 @@ Cell::Cell(Simulation& sim_in, const SimConfig& config, int s, int shards,
 void Cell::measure(std::vector<ClientStats*> clients) {
   std::vector<MdsNode*> nodes;
   for (auto& n : mds_nodes) nodes.push_back(n.get());
-  metrics = std::make_unique<Metrics>(std::move(nodes), std::move(clients),
-                                      &sim);
+  metrics = std::make_unique<Metrics>(std::move(nodes), std::move(clients));
   metrics->set_fault_log(&fault_log);
   metrics->set_trace(tracer.get());
 }

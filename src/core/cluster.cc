@@ -185,13 +185,28 @@ TraceCollector* ClusterSim::tracer() {
   return merged_tracer_.get();
 }
 
+void ClusterSim::check_fault_target(MdsId node, bool crash) const {
+  if (num_shards() != 1) {
+    throw std::invalid_argument("fault injection needs a single-shard "
+                                "cluster, not " +
+                                std::to_string(num_shards()) + " shards");
+  }
+  if (node < 0 || node >= config_.num_mds) {
+    throw std::invalid_argument("MDS " + std::to_string(node) +
+                                " is outside [0, " +
+                                std::to_string(config_.num_mds) + ")");
+  }
+  if (crash && config_.num_mds == 1) {
+    throw std::invalid_argument(
+        "crashing the only MDS leaves no survivor to take over");
+  }
+}
+
 void ClusterSim::fail_mds(MdsId failed, bool warm_takeover) {
+  check_fault_target(failed, /*crash=*/true);
   build();
-  assert(num_shards() == 1 && "fault injection is single-shard");
-  assert(failed >= 0 && failed < config_.num_mds && config_.num_mds > 1);
   cell().ctx->params.warm_takeover = warm_takeover;
-  MdsNode& dead = mds(failed);
-  dead.set_failed(true);
+  mds(failed).set_failed(true);
   network().set_down(failed, true);
   fault_log().note_crash(failed, sim().now());
 
@@ -202,56 +217,18 @@ void ClusterSim::fail_mds(MdsId failed, bool warm_takeover) {
   // unavailability window between crash and takeover is the measurement.
   if (traits_for(config_.strategy).load_balancing) return;
 
-  // No heartbeats (hashed / static strategies): apply the redistribution
-  // directly, as an external monitor would.
-  std::vector<MdsId> survivors;
-  dirfrag().set_node_alive(failed, false);
+  // No heartbeats (hashed / static strategies): an external monitor
+  // tells every survivor, in id order, through the same entry point a
+  // missed heartbeat uses. The lowest survivor records the detection and
+  // coordinates the takeover.
   for (MdsId i = 0; i < config_.num_mds; ++i) {
-    if (i == failed || mds(i).failed()) continue;
-    survivors.push_back(i);
-    mds(i).mark_peer_down(failed);
-  }
-  assert(!survivors.empty());
-  fault_log().note_detection(failed, survivors.front(), sim().now());
-
-  // Subtree strategies re-delegate; hashed placements would re-map their
-  // hash ranges, which is exactly the expansion/contraction weakness the
-  // paper describes — out of scope.
-  auto* subtree = dynamic_cast<SubtreePartition*>(&partition());
-  std::vector<MdsId> takeover_nodes;
-  if (subtree != nullptr) {
-    std::size_t rr = 0;
-    for (const FsNode* root : subtree->delegations_of(failed)) {
-      const MdsId heir = survivors[rr++ % survivors.size()];
-      subtree->delegate(root, heir);
-      takeover_nodes.push_back(heir);
-    }
-    if (subtree->authority_of(tree().root()) == failed) {
-      subtree->delegate(tree().root(), survivors.front());
-      takeover_nodes.push_back(survivors.front());
-    }
-  }
-  if (takeover_nodes.empty()) takeover_nodes.push_back(survivors.front());
-  fault_log().note_takeover(failed, sim().now());
-
-  if (warm_takeover) {
-    // The failed node's journal lives on shared storage: every takeover
-    // node replays it and installs the items it now owns (section 4.6).
-    std::sort(takeover_nodes.begin(), takeover_nodes.end());
-    takeover_nodes.erase(
-        std::unique(takeover_nodes.begin(), takeover_nodes.end()),
-        takeover_nodes.end());
-    const auto working_set = dead.journal().replay();
-    for (MdsId heir : takeover_nodes) {
-      mds(heir).warm_from_journal(working_set);
-    }
+    if (i != failed && !mds(i).failed()) mds(i).on_peer_detected_down(failed);
   }
 }
 
 void ClusterSim::set_fail_slow(MdsId node, double cpu_mult, double disk_mult) {
+  check_fault_target(node);
   build();
-  assert(num_shards() == 1 && "fault injection is single-shard");
-  assert(node >= 0 && node < config_.num_mds);
   mds(node).set_fail_slow(cpu_mult, disk_mult);
   if (cpu_mult != 1.0 || disk_mult != 1.0) {
     fault_log().note_fail_slow(node, sim().now());
@@ -261,8 +238,8 @@ void ClusterSim::set_fail_slow(MdsId node, double cpu_mult, double disk_mult) {
 }
 
 void ClusterSim::recover_mds(MdsId node) {
+  check_fault_target(node);
   build();
-  assert(num_shards() == 1 && "fault injection is single-shard");
   MdsNode& n = mds(node);
   assert(n.failed());
   n.set_failed(false);
@@ -275,12 +252,16 @@ void ClusterSim::recover_mds(MdsId node) {
   if (traits_for(config_.strategy).load_balancing) {
     return;  // peers mark it up when its heartbeats resume
   }
-  dirfrag().set_node_alive(node, true);
+  // No heartbeats: the monitor tells every survivor the node is back, and
+  // tells the node which peers are still down.
   for (MdsId i = 0; i < config_.num_mds; ++i) {
-    if (i == node || mds(i).failed()) continue;
-    mds(i).mark_peer_up(node);
+    if (i == node) continue;
+    if (mds(i).failed()) {
+      n.on_peer_detected_down(i);
+    } else {
+      mds(i).on_peer_back(node);
+    }
   }
-  fault_log().note_marked_up(node, sim().now());
 }
 
 }  // namespace mdsim

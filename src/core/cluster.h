@@ -18,7 +18,8 @@
 //    bit-stable across any thread count.
 //
 // Fault injection, partitions and MDS crash/recovery stay single-shard
-// (DESIGN.md §5f): sharded runs model healthy scale-out.
+// (DESIGN.md §5f): the fault calls throw on a sharded cluster, which
+// models healthy scale-out.
 #pragma once
 
 #include <memory>
@@ -71,9 +72,10 @@ class ClusterSim {
   /// redistributes the dead node's delegations — replaying its bounded
   /// journal into the heirs when `warm_takeover` (which sets
   /// MdsParams::warm_takeover cluster-wide for this run). Strategies
-  /// without heartbeats (hashed / static subtree) get the redistribution
-  /// applied directly, as they have no detector to find it.
-  /// Single-shard only, as is every fault call below.
+  /// without heartbeats (hashed / static subtree) have no detector, so
+  /// the crash itself is the peer-down notice, handed to every survivor
+  /// through the takeover path a missed heartbeat takes.
+  /// Every fault call throws as check_fault_target does.
   void fail_mds(MdsId failed, bool warm_takeover = true);
   /// Restart a crashed MDS: rejoin the network, replay its own bounded
   /// journal against the object store (real disk latency), and resume
@@ -86,6 +88,11 @@ class ClusterSim {
   /// (1.0/1.0 restores nominal speed). The node stays up and heartbeating
   /// — detection is the health layer's job, not the fault's.
   void set_fail_slow(MdsId node, double cpu_mult, double disk_mult);
+
+  /// Throws std::invalid_argument unless the fault API can act on `node`:
+  /// the cluster has one shard, 0 <= node < num_mds, and a `crash` leaves
+  /// another MDS to take over (num_mds > 1).
+  void check_fault_target(MdsId node, bool crash = false) const;
 
   const SimConfig& config() const { return config_; }
   ShardedSimulation& engine() { return engine_; }

@@ -4,10 +4,16 @@
 // crash MDS 1 at t=8s, restart it at t=15s, make the 2<->3 link flaky
 // from t=10s to t=12s — and arms it as ordinary simulation events, so a
 // chaos run is exactly as reproducible as a healthy one: same seed, same
-// plan, same byte-for-byte metrics. Used by the chaos tests, the
-// availability bench and the CLI.
+// plan, same byte-for-byte metrics. Used by the chaos tests and the
+// fault benches.
+//
+// The plan is a timeline: each builder appends its start step and, where
+// the window closes, its end step. arm() schedules the steps in that
+// script order, so actions at the same instant run in the order the
+// script named them (restart(t, 1) before crash(t, 3) if written so).
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "core/cluster.h"
@@ -63,67 +69,31 @@ class FaultPlan {
   static FaultPlan randomize(std::uint64_t seed, int num_mds,
                              SimTime duration);
 
-  /// Schedule every scripted action on the cluster's simulation clock.
-  /// The cluster must have one shard and outlive the run; call once.
+  /// Schedule every step on the cluster's simulation clock, in script
+  /// order. Throws std::invalid_argument, before scheduling anything,
+  /// unless the cluster has one shard and every MDS the plan names is a
+  /// valid target (ClusterSim::check_fault_target), so no step throws
+  /// from inside an event. The cluster must outlive the run; call once.
   void arm(ClusterSim& cluster) const;
 
-  bool empty() const {
-    return crashes_.empty() && restarts_.empty() && links_.empty() &&
-           partitions_.empty() && cuts_.empty() && fail_slows_.empty() &&
-           degrades_.empty();
-  }
+  bool empty() const { return steps_.empty(); }
 
  private:
-  struct CrashAction {
+  /// One scripted action: `act` runs on the cluster at `at`.
+  struct Step {
     SimTime at;
-    MdsId node;
-    bool warm;
+    std::function<void(ClusterSim&)> act;
   };
-  struct RestartAction {
-    SimTime at;
+  /// An MDS the plan acts on, checked by arm().
+  struct Target {
     MdsId node;
-  };
-  struct LinkAction {
-    SimTime from;
-    SimTime until;
-    NetAddr a;
-    NetAddr b;
-    LinkFault fault;
+    bool crash;
   };
 
-  struct PartitionAction {
-    SimTime from;
-    SimTime until;
-    std::vector<std::vector<NetAddr>> groups;
-  };
-  struct CutAction {
-    SimTime from;
-    SimTime until;
-    NetAddr src;
-    NetAddr dst;
-  };
-  struct FailSlowAction {
-    SimTime from;
-    SimTime until;
-    MdsId node;
-    double cpu_mult;
-    double disk_mult;
-  };
-  struct DegradeAction {
-    SimTime from;
-    SimTime until;
-    NetAddr a;
-    NetAddr b;
-    LinkDegrade degrade;
-  };
+  FaultPlan& step(SimTime at, std::function<void(ClusterSim&)> act);
 
-  std::vector<CrashAction> crashes_;
-  std::vector<RestartAction> restarts_;
-  std::vector<LinkAction> links_;
-  std::vector<PartitionAction> partitions_;
-  std::vector<CutAction> cuts_;
-  std::vector<FailSlowAction> fail_slows_;
-  std::vector<DegradeAction> degrades_;
+  std::vector<Step> steps_;
+  std::vector<Target> targets_;
 };
 
 }  // namespace mdsim

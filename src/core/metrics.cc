@@ -9,9 +9,8 @@
 namespace mdsim {
 
 Metrics::Metrics(std::vector<MdsNode*> nodes,
-                 std::vector<ClientStats*> clients,
-                 const Simulation* sim)
-    : nodes_(std::move(nodes)), clients_(std::move(clients)), sim_(sim) {
+                 std::vector<ClientStats*> clients)
+    : nodes_(std::move(nodes)), clients_(std::move(clients)) {
   mds_tput_.resize(nodes_.size());
   mds_health_.resize(nodes_.size());
   base_.resize(nodes_.size());
@@ -65,7 +64,7 @@ void Metrics::sample(SimTime now) {
   // any single node's view). Zero whenever health scoring is off.
   double degraded = 0.0;
   if (faults_ != nullptr) {
-    for (const GrayIncident& g : faults_->gray_incidents()) {
+    for (const NodeWindow& g : faults_->gray_incidents()) {
       if (g.open) degraded += 1.0;
     }
   }

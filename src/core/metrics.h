@@ -10,7 +10,6 @@
 #include "common/stats.h"
 #include "common/trace.h"
 #include "common/types.h"
-#include "sim/simulation.h"
 
 namespace mdsim {
 
@@ -22,8 +21,7 @@ class Metrics {
   /// `clients` are the stats of whatever issues the load, one per
   /// ClientCohort: per client in a single-engine cluster (cohorts of
   /// one), per shard in a sharded one.
-  Metrics(std::vector<MdsNode*> nodes, std::vector<ClientStats*> clients,
-          const Simulation* sim = nullptr);
+  Metrics(std::vector<MdsNode*> nodes, std::vector<ClientStats*> clients);
 
   /// Take one sample (called by the cluster on its sampling cadence).
   void sample(SimTime now);
@@ -47,7 +45,7 @@ class Metrics {
   /// Per-node self-measured health lag (seconds of queued-but-unserved
   /// work, EWMA'd; all-zero with health scoring off).
   const std::vector<TimeSeries>& per_mds_health() const { return mds_health_; }
-  /// Nodes currently flagged gray-degraded (open GrayIncidents).
+  /// Nodes currently flagged gray-degraded (open gray windows).
   const TimeSeries& degraded_nodes() const { return degraded_nodes_; }
 
   // --- end-of-run aggregates ----------------------------------------------
@@ -91,8 +89,8 @@ class Metrics {
   Summary client_latency() const;
   std::uint64_t total_replies() const;
   std::uint64_t total_failures() const;
-  /// Hedged-read counters summed over clients since their last reset
-  /// (all zero with hedging off).
+  /// Hedged-read counters summed over clients over the whole run, warm-up
+  /// included: reset() does not re-base them (all zero with hedging off).
   std::uint64_t total_hedges_fired() const;
   std::uint64_t total_hedge_wins() const;
   std::uint64_t total_wasted_hedges() const;
@@ -114,52 +112,13 @@ class Metrics {
   TraceCollector* trace() const { return trace_; }
 
   // --- failure lifecycle ---------------------------------------------------
+  /// The cell's fault log, read for the degraded-node census. Callers read
+  /// crash, fence, overload and gray summaries from the FaultLog itself.
   void set_fault_log(const FaultLog* log) { faults_ = log; }
-  const FaultLog* fault_log() const { return faults_; }
-  /// Crash -> first survivor declaring it dead, per incident. Incidents
-  /// still open at the current sim time are right-censored at `now()`
-  /// rather than silently dropped.
-  Summary detection_latency_seconds() const {
-    return faults_ != nullptr ? faults_->detection_latency_seconds(asof())
-                              : Summary{};
-  }
-  /// Crash -> delegations redistributed (the unavailability window for
-  /// the dead node's territory).
-  Summary unavailability_seconds() const {
-    return faults_ != nullptr ? faults_->unavailability_seconds(asof())
-                              : Summary{};
-  }
-  /// Restart -> journal replay done (cache warm, serving at speed).
-  Summary recovery_time_seconds() const {
-    return faults_ != nullptr ? faults_->recovery_time_seconds(asof())
-                              : Summary{};
-  }
-  /// Total node-seconds spent self-fenced (partition write stall).
-  double minority_stall_seconds() const {
-    return faults_ != nullptr ? faults_->minority_stall_seconds(asof()) : 0.0;
-  }
-  /// Overload episodes (first shed -> last shed per node per storm).
-  Summary overload_episode_seconds() const {
-    return faults_ != nullptr ? faults_->overload_episode_seconds(asof())
-                              : Summary{};
-  }
-  /// Total node-seconds spent flagged gray-degraded (open incidents are
-  /// right-censored at now()).
-  double gray_degraded_seconds() const {
-    return faults_ != nullptr ? faults_->gray_degraded_seconds(asof()) : 0.0;
-  }
 
  private:
-  /// Censoring horizon for open incidents: the current sim time, or
-  /// "never" when no simulation is attached (open incidents drop, as the
-  /// standalone-Metrics unit tests expect).
-  SimTime asof() const {
-    return sim_ != nullptr ? sim_->now() : FaultIncident::kUnset;
-  }
-
   std::vector<MdsNode*> nodes_;
   std::vector<ClientStats*> clients_;
-  const Simulation* sim_ = nullptr;
   const FaultLog* faults_ = nullptr;
   TraceCollector* trace_ = nullptr;
 

@@ -199,6 +199,15 @@ class MdsNode final : public NetEndpoint {
   /// Survivors stop considering a downed peer as a migration target.
   void mark_peer_down(MdsId peer);
   void mark_peer_up(MdsId peer);
+  /// `peer` is dead — after missed heartbeats, or told so by the cluster
+  /// for strategies without heartbeats (recovery.cc): mark it down, log
+  /// the detection, resolve migrations with it, and, if this node is the
+  /// lowest live id, coordinate the takeover of its delegations.
+  void on_peer_detected_down(MdsId peer);
+  /// `peer` is back — its first heartbeat after an outage, or told so by
+  /// the cluster: restore it as a migration, forwarding and
+  /// dentry-authority target, and log the re-mark-up.
+  void on_peer_back(MdsId peer);
   /// Restart after a crash (recovery.cc): reset liveness views and stale
   /// protocol state, then replay the bounded journal against the object
   /// store (sequential log read + coalesced writebacks, real disk
@@ -541,7 +550,6 @@ class MdsNode final : public NetEndpoint {
   /// while everything is healthy (all checks are reads that find nothing).
   void failure_tick(SimTime now);
   void check_peer_liveness(SimTime now);
-  void on_peer_detected_down(MdsId peer);
   /// Redistribute a dead peer's delegations to the survivors and (warm
   /// takeover) replay its journal into the heirs. Run by the lowest live
   /// id; a no-op if another coordinator already handled it.

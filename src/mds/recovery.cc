@@ -2,11 +2,15 @@
 //
 // Detection is distributed: every node watches the balancer heartbeats of
 // its peers and declares one dead after `heartbeat_miss_threshold` silent
-// periods. The lowest live id then acts as takeover coordinator: it
-// redistributes the dead node's delegations round-robin over the
-// survivors and (warm takeover) has each heir replay the dead node's
-// bounded journal from shared storage — the paper's "journal [as] a very
-// recent or current picture of the failed node's working metadata set".
+// periods. Strategies without heartbeats have no detector; the cluster
+// hands each survivor the same peer-down notice at the crash instant (and
+// the peer-back notice at restart). The lowest live id then acts as
+// takeover coordinator: it redistributes the dead node's delegations
+// round-robin over the survivors and (warm takeover) has each heir replay
+// the dead node's bounded journal from shared storage — the paper's
+// "journal [as] a very recent or current picture of the failed node's
+// working metadata set". Hashed placements would re-map their hash
+// ranges instead, which is out of scope: their dead territory stays dead.
 // A false positive (flaky link, not a dead peer) degenerates into a
 // forced re-delegation: the partition map stays consistent, the "dead"
 // node simply starts forwarding, and the first heartbeat heard marks it
@@ -136,6 +140,15 @@ void MdsNode::on_peer_detected_down(MdsId peer) {
       continue;
     take_over_failed_peer(dead);
   }
+}
+
+void MdsNode::on_peer_back(MdsId peer) {
+  // Restore it as a migration and forwarding target, and as a
+  // dentry-authority candidate for fragmented directories.
+  peer_alive_[static_cast<std::size_t>(peer)] = 1;
+  mark_peer_up(peer);
+  ctx_.dirfrag.set_node_alive(peer, true);
+  if (ctx_.faults != nullptr) ctx_.faults->note_marked_up(peer, ctx_.sim.now());
 }
 
 // --------------------------------------------------------------------------

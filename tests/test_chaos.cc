@@ -245,10 +245,11 @@ TEST(Chaos, SameSeedSamePlanIsBitForBitReproducible) {
       stale += s.stale_replies;
     }
     const auto& fc = cluster.network().fault_counters();
+    const SimTime now = cluster.sim().now();
     return std::make_tuple(
         tput, completed, failed, retries, stale, fc.dropped, fc.duplicated,
-        fc.spiked, cluster.metrics().detection_latency_seconds().mean(),
-        cluster.metrics().recovery_time_seconds().mean(),
+        fc.spiked, cluster.fault_log().detection_latency_seconds(now).mean(),
+        cluster.fault_log().recovery_time_seconds(now).mean(),
         cluster.metrics().total_replies());
   };
   const auto a = run();

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "core/fault_plan.h"
 #include "test_util.h"
 
 namespace mdsim {
@@ -60,11 +63,12 @@ TEST(Failover, DelegationsRedistributeToSurvivors) {
   EXPECT_EQ(incidents[0].node, victim);
   ASSERT_TRUE(incidents[0].has(incidents[0].detected_at));
   ASSERT_TRUE(incidents[0].has(incidents[0].takeover_at));
+  const SimTime now = cluster.sim().now();
   const double latency =
-      cluster.metrics().detection_latency_seconds().mean();
+      cluster.fault_log().detection_latency_seconds(now).mean();
   EXPECT_GT(latency, 2.0);
   EXPECT_LE(latency, 5.0);
-  EXPECT_GE(cluster.metrics().unavailability_seconds().mean(), latency);
+  EXPECT_GE(cluster.fault_log().unavailability_seconds(now).mean(), latency);
 }
 
 TEST(Failover, ClusterKeepsServingThroughAFailure) {
@@ -189,7 +193,9 @@ TEST(Failover, RecoveryRejoinsAndServesAgain) {
   EXPECT_TRUE(inc.has(inc.remarked_up_at));
   EXPECT_FALSE(inc.open);
   EXPECT_FALSE(cluster.mds(2).recovering());
-  EXPECT_GT(cluster.metrics().recovery_time_seconds().mean(), 0.0);
+  EXPECT_GT(
+      cluster.fault_log().recovery_time_seconds(cluster.sim().now()).mean(),
+      0.0);
 }
 
 TEST(Failover, DoubleFailureStillServes) {
@@ -208,6 +214,178 @@ TEST(Failover, DoubleFailureStillServes) {
   auto* subtree = dynamic_cast<SubtreePartition*>(&cluster.partition());
   EXPECT_TRUE(subtree->delegations_of(1).empty());
   EXPECT_TRUE(subtree->delegations_of(3).empty());
+}
+
+// Strategies without heartbeats have no detector: the crash itself is the
+// peer-down notice, delivered to every survivor in id order.
+SimConfig no_heartbeat_config(StrategyKind strategy) {
+  SimConfig cfg = failover_config();
+  cfg.strategy = strategy;
+  return cfg;
+}
+
+TEST(Failover, StaticSubtreeCrashHandsDelegationsRoundRobinAndRecovers) {
+  ClusterSim cluster(no_heartbeat_config(StrategyKind::kStaticSubtree));
+  cluster.run_until(5 * kSecond);
+  auto* subtree = dynamic_cast<SubtreePartition*>(&cluster.partition());
+  ASSERT_NE(subtree, nullptr);
+  const MdsId victim = 1;
+  const std::vector<MdsId> survivors = {0, 2, 3};
+  const auto owned_before = subtree->delegations_of(victim);
+  ASSERT_FALSE(owned_before.empty());
+
+  const SimTime crashed_at = cluster.sim().now();
+  cluster.fail_mds(victim);
+  EXPECT_TRUE(cluster.mds(victim).failed());
+  EXPECT_TRUE(subtree->delegations_of(victim).empty());
+  for (std::size_t k = 0; k < owned_before.size(); ++k) {
+    EXPECT_EQ(subtree->authority_of(owned_before[k]),
+              survivors[k % survivors.size()])
+        << k;
+  }
+  {
+    const auto& incidents = cluster.fault_log().incidents();
+    ASSERT_EQ(incidents.size(), 1u);
+    const FaultIncident& inc = incidents[0];
+    EXPECT_EQ(inc.crashed_at, crashed_at);
+    EXPECT_EQ(inc.detected_at, crashed_at);
+    EXPECT_EQ(inc.detected_by, survivors.front());
+    EXPECT_EQ(inc.takeover_at, crashed_at);
+  }
+
+  cluster.run_until(10 * kSecond);
+  const SimTime restarted_at = cluster.sim().now();
+  cluster.recover_mds(victim);
+  EXPECT_FALSE(cluster.mds(victim).failed());
+  EXPECT_FALSE(cluster.network().is_down(victim));
+  for (MdsId i : survivors) EXPECT_TRUE(cluster.mds(i).peer_alive(victim)) << i;
+
+  cluster.run_until(20 * kSecond);
+  const FaultIncident& inc = cluster.fault_log().incidents()[0];
+  EXPECT_EQ(inc.restarted_at, restarted_at);
+  EXPECT_EQ(inc.remarked_up_at, restarted_at);
+  ASSERT_TRUE(inc.has(inc.rejoined_at));
+  EXPECT_GE(inc.rejoined_at, restarted_at);
+  EXPECT_FALSE(inc.open);
+  EXPECT_FALSE(cluster.mds(victim).recovering());
+  for (int i = 0; i < cluster.num_mds(); ++i) {
+    EXPECT_EQ(cluster.mds(i).cache().check_invariants(), "") << i;
+  }
+}
+
+TEST(Failover, StaticSubtreeRestartedNodeKnowsWhichPeersAreStillDown) {
+  ClusterSim cluster(no_heartbeat_config(StrategyKind::kStaticSubtree));
+  cluster.run_until(5 * kSecond);
+  auto* subtree = dynamic_cast<SubtreePartition*>(&cluster.partition());
+  ASSERT_NE(subtree, nullptr);
+  cluster.fail_mds(1);
+  cluster.fail_mds(2);
+  cluster.run_until(6 * kSecond);
+  cluster.recover_mds(1);
+
+  // MDS 1 now coordinates MDS 0's takeover; MDS 2 is still dead, so the
+  // heirs are 1 and 3 in turn.
+  const auto owned_before = subtree->delegations_of(0);
+  ASSERT_FALSE(owned_before.empty());
+  const std::vector<MdsId> survivors = {1, 3};
+  cluster.fail_mds(0);
+  for (std::size_t k = 0; k < owned_before.size(); ++k) {
+    EXPECT_EQ(subtree->authority_of(owned_before[k]),
+              survivors[k % survivors.size()])
+        << k;
+  }
+  EXPECT_TRUE(subtree->delegations_of(2).empty());
+  EXPECT_NE(subtree->authority_of(cluster.tree().root()), 2);
+}
+
+TEST(Failover, DirHashCrashIsDetectedButNeverTakenOver) {
+  ClusterSim cluster(no_heartbeat_config(StrategyKind::kDirHash));
+  cluster.run_until(5 * kSecond);
+  const SimTime crashed_at = cluster.sim().now();
+  cluster.fail_mds(1);
+  cluster.run_until(12 * kSecond);
+
+  const auto& incidents = cluster.fault_log().incidents();
+  ASSERT_EQ(incidents.size(), 1u);
+  const FaultIncident& inc = incidents[0];
+  EXPECT_EQ(inc.detected_at, crashed_at);
+  EXPECT_EQ(inc.detected_by, 0);
+  // No hash range is re-mapped, so the dead node's share of the namespace
+  // has no authority: there is no takeover, and the unavailability window
+  // runs on to the present.
+  EXPECT_FALSE(inc.has(inc.takeover_at));
+  const SimTime now = cluster.sim().now();
+  const Summary unavailable = cluster.fault_log().unavailability_seconds(now);
+  ASSERT_EQ(unavailable.count(), 1u);
+  EXPECT_DOUBLE_EQ(unavailable.mean(), to_seconds(now - crashed_at));
+}
+
+// --- fault API argument checks --------------------------------------------
+
+SimConfig tiny_config(int num_mds) {
+  SimConfig cfg = failover_config();
+  cfg.num_mds = num_mds;
+  cfg.num_clients = 8;
+  cfg.fs.num_users = 4;
+  cfg.fs.nodes_per_user = 50;
+  return cfg;
+}
+
+TEST(FaultApi, RejectsMdsIdsOutsideTheCluster) {
+  ClusterSim cluster(tiny_config(4));
+  EXPECT_THROW(cluster.fail_mds(4), std::invalid_argument);
+  EXPECT_THROW(cluster.fail_mds(-1), std::invalid_argument);
+  EXPECT_THROW(cluster.recover_mds(7), std::invalid_argument);
+  EXPECT_THROW(cluster.recover_mds(-1), std::invalid_argument);
+  EXPECT_THROW(cluster.set_fail_slow(4, 2.0, 2.0), std::invalid_argument);
+  EXPECT_THROW(cluster.set_fail_slow(-1, 2.0, 2.0), std::invalid_argument);
+  cluster.run_until(kSecond);
+  EXPECT_TRUE(cluster.fault_log().incidents().empty());
+  EXPECT_TRUE(cluster.fault_log().fail_slow_incidents().empty());
+  for (int i = 0; i < cluster.num_mds(); ++i) {
+    EXPECT_FALSE(cluster.mds(i).failed()) << i;
+  }
+}
+
+TEST(FaultApi, RejectsCrashingTheOnlyMds) {
+  ClusterSim cluster(tiny_config(1));
+  EXPECT_THROW(cluster.fail_mds(0), std::invalid_argument);
+  // Slowing the only node leaves it up, so that is allowed.
+  EXPECT_NO_THROW(cluster.set_fail_slow(0, 2.0, 1.0));
+  EXPECT_FALSE(cluster.mds(0).failed());
+}
+
+TEST(FaultApi, RejectsShardedClusters) {
+  SimConfig cfg = tiny_config(4);
+  cfg.shards = 2;
+  ClusterSim cluster(cfg);
+  EXPECT_THROW(cluster.fail_mds(0), std::invalid_argument);
+  EXPECT_THROW(cluster.recover_mds(0), std::invalid_argument);
+  EXPECT_THROW(cluster.set_fail_slow(0, 2.0, 2.0), std::invalid_argument);
+  FaultPlan plan;
+  plan.cut_link(kSecond, 2 * kSecond, 0, 1);
+  EXPECT_THROW(plan.arm(cluster), std::invalid_argument);
+}
+
+TEST(FaultApi, ArmChecksEveryTargetBeforeSchedulingAnything) {
+  ClusterSim cluster(tiny_config(4));
+  cluster.run_until(0);
+  FaultPlan bad_restart;
+  bad_restart.crash(kSecond, 1).restart(2 * kSecond, 9);
+  EXPECT_THROW(bad_restart.arm(cluster), std::invalid_argument);
+  FaultPlan bad_slow;
+  bad_slow.crash(kSecond, 1).fail_slow(kSecond, 2 * kSecond, -1, 2.0, 2.0);
+  EXPECT_THROW(bad_slow.arm(cluster), std::invalid_argument);
+  // Neither plan scheduled its valid crash.
+  cluster.run_until(3 * kSecond);
+  EXPECT_FALSE(cluster.mds(1).failed());
+  EXPECT_TRUE(cluster.fault_log().incidents().empty());
+
+  ClusterSim single(tiny_config(1));
+  single.run_until(0);
+  FaultPlan crash_only;
+  crash_only.crash(kSecond, 0);
+  EXPECT_THROW(crash_only.arm(single), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Gray-failure layer: fail-slow injection primitives (service-rate
 // multipliers on the CPU/disk queue servers, sustained link degrades),
 // the FaultPlan window that drives them, health-based detection opening
-// and closing GrayIncidents in the FaultLog, and the zero-cost-off
+// and closing gray windows in the FaultLog, and the zero-cost-off
 // contract (health + hedging armed but inert is byte-identical to a run
 // without the layer — the same configuration the benches' --gray-noop
 // gate uses).
@@ -169,7 +169,7 @@ TEST(FailSlow, PlanWindowAppliesAndRevertsTheMultipliers) {
   ASSERT_EQ(fs.size(), 1u);
   EXPECT_EQ(fs[0].node, 1);
   EXPECT_EQ(fs[0].began_at, kSecond);
-  EXPECT_EQ(fs[0].cleared_at, 2 * kSecond);
+  EXPECT_EQ(fs[0].ended_at, 2 * kSecond);
   EXPECT_FALSE(fs[0].open);
 }
 
@@ -193,16 +193,16 @@ TEST(GrayDetection, FailSlowWindowOpensAndClosesAnIncident) {
   // closed with both edges inside sane bounds.
   const auto& grays = cluster.fault_log().gray_incidents();
   ASSERT_FALSE(grays.empty());
-  const GrayIncident& g = grays.front();
+  const NodeWindow& g = grays.front();
   EXPECT_EQ(g.node, victim);
-  EXPECT_GE(g.degraded_at, 6 * kSecond);
-  EXPECT_LE(g.degraded_at, 12 * kSecond);
-  EXPECT_NE(g.detected_by, kInvalidMds);
+  EXPECT_GE(g.began_at, 6 * kSecond);
+  EXPECT_LE(g.began_at, 12 * kSecond);
+  EXPECT_NE(g.by, kInvalidMds);
   EXPECT_FALSE(g.open);
-  EXPECT_GT(g.recovered_at, g.degraded_at);
+  EXPECT_GT(g.ended_at, g.began_at);
   EXPECT_GT(cluster.fault_log().gray_degraded_seconds(26 * kSecond), 0.0);
   // Every incident this run concerns the one injected victim.
-  for (const GrayIncident& inc : grays) EXPECT_EQ(inc.node, victim);
+  for (const NodeWindow& inc : grays) EXPECT_EQ(inc.node, victim);
 }
 
 TEST(GrayDetection, HealthyClusterNeverFlagsAnyone) {
