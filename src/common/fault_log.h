@@ -8,7 +8,9 @@
 // survivor that heard a heartbeat again). Detection latency,
 // unavailability windows and recovery time are derived from these stamps.
 // Fences, overload episodes, gray flags and fail-slow injections are
-// NodeWindows: one span per node, open until closed.
+// NodeWindows: one span per node, open until closed. A fault call that
+// finds nothing to act on (restarting a live MDS, crashing a dead one or
+// the last live one) changes nothing and is logged as an IgnoredFault.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +61,26 @@ struct NodeWindow {
   bool open = true;
 };
 
+/// A fault call that was a no-op because the run state gave it nothing to
+/// act on. Fault plans run inside events, so these calls must not throw;
+/// the log keeps them so a script that asked for the impossible shows.
+struct IgnoredFault {
+  enum class Reason : std::uint8_t {
+    kRestartLive,    // recover_mds on an MDS that is serving
+    kCrashDown,      // fail_mds on an MDS that is already down
+    kCrashLastLive,  // fail_mds on the only MDS still up: no survivor
+  };
+  MdsId node = kInvalidMds;
+  SimTime at = 0;
+  Reason reason = Reason::kRestartLive;
+};
+
 class FaultLog {
  public:
+  void note_ignored(MdsId node, IgnoredFault::Reason reason, SimTime now) {
+    ignored_.push_back(IgnoredFault{node, now, reason});
+  }
+
   void note_crash(MdsId node, SimTime now) {
     // A re-crash closes any incident still open for the node.
     if (FaultIncident* inc = open_of(incidents_, node)) inc->open = false;
@@ -139,6 +159,7 @@ class FaultLog {
   }
 
   const std::vector<FaultIncident>& incidents() const { return incidents_; }
+  const std::vector<IgnoredFault>& ignored_faults() const { return ignored_; }
   const std::vector<NodeWindow>& fence_incidents() const { return fences_; }
   const std::vector<NodeWindow>& overload_incidents() const {
     return overloads_;
@@ -270,6 +291,7 @@ class FaultLog {
   std::vector<NodeWindow> overloads_;
   std::vector<NodeWindow> grays_;
   std::vector<NodeWindow> fail_slows_;
+  std::vector<IgnoredFault> ignored_;
 };
 
 }  // namespace mdsim

@@ -62,43 +62,67 @@ ClusterSim::ClusterSim(SimConfig config)
 
 ClusterSim::~ClusterSim() = default;
 
+ClusterSim::Shard ClusterSim::build_shard(int s, int first_client) {
+  const int S = num_shards();
+  Simulation& sim = engine_.shard(s);
+  Shard out;
+  out.cell = std::make_unique<Cell>(sim, config_, s, S,
+                                    S > 1 ? &fabric_ : nullptr);
+  Cell& cell = *out.cell;
+  // One shard: a cohort of one per client (exact timers, per-client
+  // stats). More: one wheel-timed cohort of all the shard's clients.
+  const int clients = shard_share(config_.num_clients, S, s);
+  const int cohort_size = S == 1 ? 1 : clients;
+  std::vector<ClientStats*> stats;
+  for (int first = first_client; first < first_client + clients;
+       first += cohort_size) {
+    auto cohort = std::make_unique<ClientCohort>(
+        sim, *cell.net, cell.tree, *cell.workload, *cell.partition,
+        *cell.dirfrag, cohort_size, static_cast<ClientId>(first),
+        cell.num_mds(), config_.seed);
+    // Align each client's uid with the home the workload gives it: the
+    // workload maps global client id c to homes_[c % num_users] (this
+    // cell's num_users), and user u's home is owned by uid 100 + u.
+    const int users = cell.fs.num_users;
+    for (int c = 0; users > 0 && c < cohort_size; ++c) {
+      cohort->set_uid(c,
+                      100 + static_cast<std::uint32_t>((first + c) % users));
+    }
+    cohort->set_retry_policy(config_.client_retry);
+    cohort->set_hedge_policy(config_.hedge);
+    cohort->set_tracer(cell.tracer.get());
+    stats.push_back(&cohort->stats());
+    out.cohorts.push_back(std::move(cohort));
+  }
+  cell.measure(std::move(stats));
+  return out;
+}
+
 void ClusterSim::build() {
   if (!cells_.empty()) return;
   const int S = num_shards();
-  int first_client = 0;
-  for (int s = 0; s < S; ++s) {
-    Simulation& sim = engine_.shard(s);
-    auto cell = std::make_unique<Cell>(sim, config_, s, S,
-                                       S > 1 ? &fabric_ : nullptr);
-    // One shard: a cohort of one per client (exact timers, per-client
-    // stats). More: one wheel-timed cohort of all the shard's clients.
-    const int clients = shard_share(config_.num_clients, S, s);
-    const int cohort_size = S == 1 ? 1 : clients;
-    std::vector<ClientStats*> stats;
-    for (int first = first_client; first < first_client + clients;
-         first += cohort_size) {
-      auto cohort = std::make_unique<ClientCohort>(
-          sim, *cell->net, cell->tree, *cell->workload, *cell->partition,
-          *cell->dirfrag, cohort_size, static_cast<ClientId>(first),
-          cell->num_mds(), config_.seed);
-      // Align each client's uid with the home the workload gives it: the
-      // workload maps global client id c to homes_[c % num_users] (this
-      // cell's num_users), and user u's home is owned by uid 100 + u.
-      const int users = cell->fs.num_users;
-      for (int c = 0; users > 0 && c < cohort_size; ++c) {
-        cohort->set_uid(
-            c, 100 + static_cast<std::uint32_t>((first + c) % users));
-      }
-      cohort->set_retry_policy(config_.client_retry);
-      cohort->set_hedge_policy(config_.hedge);
-      cohort->set_tracer(cell->tracer.get());
-      stats.push_back(&cohort->stats());
-      clients_.push_back(std::move(cohort));
-    }
-    cell->measure(std::move(stats));
-    for (auto& node : cell->mds_nodes) mds_.push_back(node.get());
-    first_client += clients;
-    cells_.push_back(std::move(cell));
+  // Each shard is a function of (config, s, S) and its own engine alone,
+  // so the shards build concurrently; only the first client id crosses
+  // shards, and it is a prefix sum fixed up front.
+  std::vector<int> first_client(static_cast<std::size_t>(S), 0);
+  for (int s = 1; s < S; ++s) {
+    first_client[static_cast<std::size_t>(s)] =
+        first_client[static_cast<std::size_t>(s - 1)] +
+        shard_share(config_.num_clients, S, s - 1);
+  }
+  std::vector<Shard> built(static_cast<std::size_t>(S));
+  engine_.for_each_shard([&](int s) {
+    built[static_cast<std::size_t>(s)] =
+        build_shard(s, first_client[static_cast<std::size_t>(s)]);
+  });
+  // Collect in shard order, so global MDS and client order are the
+  // serial build's.
+  shard_cohorts_.push_back(0);
+  for (Shard& shard : built) {
+    for (auto& node : shard.cell->mds_nodes) mds_.push_back(node.get());
+    for (auto& cohort : shard.cohorts) clients_.push_back(std::move(cohort));
+    shard_cohorts_.push_back(clients_.size());
+    cells_.push_back(std::move(shard.cell));
   }
   if (S > 1) build_catalogs();
 }
@@ -109,7 +133,10 @@ void ClusterSim::build_catalogs() {
       config_.shard_catalog_size <= 0) {
     return;
   }
-  for (int s = 0; s < S; ++s) {
+  // Per destination shard s: it reads the other cells' trees and
+  // partitions, which nothing writes during the round, and writes only
+  // its own cohort.
+  engine_.for_each_shard([this, S](int s) {
     // One dedicated stream per destination cohort; iteration order over
     // source shards is fixed, so the catalog is a pure function of the
     // configuration.
@@ -131,13 +158,19 @@ void ClusterSim::build_catalogs() {
     }
     clients_[static_cast<std::size_t>(s)]->set_remote_catalog(
         std::move(catalog), config_.shard_remote_fraction);
-  }
+  });
 }
 
 void ClusterSim::start() {
-  for (auto& c : clients_) c->start();
-  for (auto& owned : cells_) {
-    Cell* cell = owned.get();
+  // Per engine, in a fixed order — its clients, then the sampler, then
+  // the warm-up reset — so each engine's sequence numbers, and with them
+  // its same-instant tie-breaks, do not depend on the thread count.
+  engine_.for_each_shard([this](int s) {
+    const auto i = static_cast<std::size_t>(s);
+    for (std::size_t c = shard_cohorts_[i]; c < shard_cohorts_[i + 1]; ++c) {
+      clients_[c]->start();
+    }
+    Cell* cell = cells_[i].get();
     cell->sim.every(config_.sample_period, config_.sample_period,
                     [cell]() {
                       cell->metrics->sample(cell->sim.now());
@@ -146,7 +179,7 @@ void ClusterSim::start() {
     if (config_.warmup > 0) {
       cell->sim.schedule(config_.warmup, [cell]() { cell->reset_window(); });
     }
-  }
+  });
 }
 
 void ClusterSim::run_until(SimTime t) {
@@ -205,6 +238,20 @@ void ClusterSim::check_fault_target(MdsId node, bool crash) const {
 void ClusterSim::fail_mds(MdsId failed, bool warm_takeover) {
   check_fault_target(failed, /*crash=*/true);
   build();
+  // Nothing to crash, or no survivor to take over: a crash here would
+  // open an incident no peer ever detects.
+  if (mds(failed).failed()) {
+    fault_log().note_ignored(failed, IgnoredFault::Reason::kCrashDown,
+                             sim().now());
+    return;
+  }
+  const auto live = std::count_if(
+      mds_.begin(), mds_.end(), [](const MdsNode* n) { return !n->failed(); });
+  if (live == 1) {
+    fault_log().note_ignored(failed, IgnoredFault::Reason::kCrashLastLive,
+                             sim().now());
+    return;
+  }
   cell().ctx->params.warm_takeover = warm_takeover;
   mds(failed).set_failed(true);
   network().set_down(failed, true);
@@ -241,7 +288,13 @@ void ClusterSim::recover_mds(MdsId node) {
   check_fault_target(node);
   build();
   MdsNode& n = mds(node);
-  assert(n.failed());
+  // A serving MDS has nothing to recover; restarting it would wipe its
+  // cache.
+  if (!n.failed()) {
+    fault_log().note_ignored(node, IgnoredFault::Reason::kRestartLive,
+                             sim().now());
+    return;
+  }
   n.set_failed(false);
   network().set_down(node, false);
   fault_log().note_restart(node, sim().now());

@@ -17,6 +17,15 @@
 //    fabric (net/shard_link.h), which is what makes N-shard runs
 //    bit-stable across any thread count.
 //
+// Set-up runs on the engine's worker pool: each cell and its cohorts are
+// a pure function of (config, s, S) and their own engine, so build()
+// constructs them in one ShardedSimulation::for_each_shard round and
+// collects them in shard order; the remote catalogs (each read-only over
+// the finished cells, from a fixed per-destination stream) and each
+// engine's start-up (in a fixed order) are one round each. Global MDS
+// and client order, seeds and every simulated output are those of a
+// serial build at any thread count.
+//
 // Fault injection, partitions and MDS crash/recovery stay single-shard
 // (DESIGN.md §5f): the fault calls throw on a sharded cluster, which
 // models healthy scale-out.
@@ -75,12 +84,15 @@ class ClusterSim {
   /// without heartbeats (hashed / static subtree) have no detector, so
   /// the crash itself is the peer-down notice, handed to every survivor
   /// through the takeover path a missed heartbeat takes.
-  /// Every fault call throws as check_fault_target does.
+  /// Every fault call throws as check_fault_target does. Crashing an MDS
+  /// that is already down, or the last one up, does nothing but log an
+  /// IgnoredFault (FaultLog::ignored_faults).
   void fail_mds(MdsId failed, bool warm_takeover = true);
   /// Restart a crashed MDS: rejoin the network, replay its own bounded
   /// journal against the object store (real disk latency), and resume
   /// serving. Peers mark it back up when its heartbeats resume; the
-  /// balancer re-populates it with load over time.
+  /// balancer re-populates it with load over time. On an MDS that is up
+  /// it does nothing but log an IgnoredFault.
   void recover_mds(MdsId node);
 
   /// Gray-failure injection: `node`'s CPU serves every subsequent job
@@ -139,6 +151,16 @@ class ClusterSim {
                  MessagePtr msg) override;
   };
 
+  /// Shard s's cell and cohorts, its clients numbered from
+  /// `first_client`.
+  struct Shard {
+    std::unique_ptr<Cell> cell;
+    std::vector<std::unique_ptr<ClientCohort>> cohorts;
+  };
+  Shard build_shard(int s, int first_client);
+  /// Set-up, each step one engine round (ShardedSimulation::
+  /// for_each_shard) over the shards: build every cell and its cohorts,
+  /// then the remote catalogs, then start every engine.
   void build();
   void build_catalogs();
   void start();
@@ -150,6 +172,8 @@ class ClusterSim {
   std::vector<std::unique_ptr<Cell>> cells_;
   /// With one shard, one cohort per client; with more, one per shard.
   std::vector<std::unique_ptr<ClientCohort>> clients_;
+  /// Shard s's cohorts are clients_[shard_cohorts_[s], shard_cohorts_[s+1]).
+  std::vector<std::size_t> shard_cohorts_;
   std::vector<MdsNode*> mds_;  // every cell's, in global order
   std::unique_ptr<TraceCollector> merged_tracer_;
   bool started_ = false;

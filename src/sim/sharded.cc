@@ -70,26 +70,30 @@ void ShardedSimulation::drain_mailboxes() {
   }
 }
 
-void ShardedSimulation::worker_loop(int worker_id) {
-  (void)worker_id;
+void ShardedSimulation::claim_shards() {
+  const std::function<void(int)>& fn = *round_fn_;
+  for (;;) {
+    const int i = next_shard_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= shard_count()) break;
+    try {
+      fn(i);
+    } catch (...) {
+      errors_[static_cast<std::size_t>(i)] = std::current_exception();
+    }
+  }
+}
+
+void ShardedSimulation::worker_loop() {
   std::uint64_t seen_round = 0;
   for (;;) {
-    SimTime bound;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock,
                     [&] { return shutdown_ || round_ != seen_round; });
       if (shutdown_) return;
       seen_round = round_;
-      bound = window_bound_;
     }
-    std::uint64_t executed = 0;
-    for (;;) {
-      const int i = next_shard_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= shard_count()) break;
-      executed += shard(i).run_until(bound);
-    }
-    window_executed_.fetch_add(executed, std::memory_order_relaxed);
+    claim_shards();
     {
       std::lock_guard<std::mutex> lock(mu_);
       --workers_active_;
@@ -98,39 +102,44 @@ void ShardedSimulation::worker_loop(int worker_id) {
   }
 }
 
-void ShardedSimulation::run_window(SimTime bound) {
-  if (threads_ <= 1 || shard_count() == 1) {
-    std::uint64_t executed = 0;
-    for (int i = 0; i < shard_count(); ++i) {
-      executed += shard(i).run_until(bound);
-    }
-    window_executed_.fetch_add(executed, std::memory_order_relaxed);
-    return;
-  }
-  const int want = threads_ - 1;  // the coordinator participates too
-  while (static_cast<int>(pool_.size()) < want) {
-    pool_.emplace_back(&ShardedSimulation::worker_loop, this,
-                       static_cast<int>(pool_.size()));
-  }
+void ShardedSimulation::for_each_shard(const std::function<void(int)>& fn) {
+  errors_.assign(static_cast<std::size_t>(shard_count()), nullptr);
+  round_fn_ = &fn;
   next_shard_.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    window_bound_ = bound;
-    workers_active_ = static_cast<int>(pool_.size());
-    ++round_;
-  }
-  work_cv_.notify_all();
-  std::uint64_t executed = 0;
-  for (;;) {
-    const int i = next_shard_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= shard_count()) break;
-    executed += shard(i).run_until(bound);
-  }
-  window_executed_.fetch_add(executed, std::memory_order_relaxed);
-  {
+  if (threads_ <= 1 || shard_count() == 1) {
+    claim_shards();
+  } else {
+    const int want = threads_ - 1;  // the caller participates too
+    while (static_cast<int>(pool_.size()) < want) {
+      pool_.emplace_back(&ShardedSimulation::worker_loop, this);
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      workers_active_ = static_cast<int>(pool_.size());
+      ++round_;
+    }
+    work_cv_.notify_all();
+    claim_shards();
+    // Every worker leaves the round under mu_, so once the count reaches
+    // zero its errors_ writes are visible here.
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] { return workers_active_ == 0; });
   }
+  round_fn_ = nullptr;
+  for (std::exception_ptr& e : errors_) {
+    if (e) {
+      const std::exception_ptr first = std::move(e);
+      errors_.clear();
+      std::rethrow_exception(first);
+    }
+  }
+}
+
+void ShardedSimulation::run_window(SimTime bound) {
+  for_each_shard([this, bound](int s) {
+    window_executed_.fetch_add(shard(s).run_until(bound),
+                               std::memory_order_relaxed);
+  });
 }
 
 std::uint64_t ShardedSimulation::run_until(SimTime until) {

@@ -17,16 +17,21 @@
 // single-engine execution. Net effect: a run is bit-identical for any
 // thread count, including 1. See DESIGN.md §5f for the safety argument.
 //
-// Threading: shards within a window run on a persistent pool of worker
-// threads claiming shards off an atomic counter (any shard may run on any
-// thread in any order — interiors are independent, so this nondeterminism
-// is invisible). The coordinator thread participates and then drains
-// mailboxes serially. threads=1 bypasses the pool entirely.
+// Threading: one primitive, for_each_shard(fn), runs fn(s) for every
+// shard on a persistent pool of worker threads claiming shards off an
+// atomic counter (any shard may run on any thread in any order — the
+// calls are independent, so this nondeterminism is invisible). The caller
+// participates and waits for the round. A lockstep window is one such
+// round over Simulation::run_until, after which the coordinator drains
+// mailboxes serially; the cluster builder runs its per-shard set-up
+// through the same rounds. threads=1 bypasses the pool entirely.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -54,11 +59,19 @@ class ShardedSimulation {
   }
   SimTime lookahead() const { return lookahead_; }
 
-  /// Worker threads used inside windows (clamped to [1, shard_count]).
-  /// May be changed between run_until calls; results are identical for
-  /// every value — that is the point of the design.
+  /// Worker threads used by for_each_shard, windows included (clamped to
+  /// [1, shard_count]). May be changed between run_until calls; results
+  /// are identical for every value — that is the point of the design.
   void set_threads(int threads);
   int threads() const { return threads_; }
+
+  /// Call fn(s) once for every shard s and return when every call has
+  /// finished: on the worker pool, the caller included, or serially on
+  /// the caller with one thread or one shard. fn(s) may touch only shard
+  /// s's engine and state plus what no call of the round writes. If calls
+  /// throw, the round still finishes; then the exception of the lowest
+  /// such s is rethrown here, and the pool stays usable.
+  void for_each_shard(const std::function<void(int)>& fn);
 
   /// Post `task` for execution in shard `to`'s engine at absolute time
   /// `when`. Must be called from shard `from`'s interior (its window
@@ -92,14 +105,17 @@ class ShardedSimulation {
 
   void drain_mailboxes();
   void run_window(SimTime bound);
-  void worker_loop(int worker_id);
+  /// Claim shards off next_shard_ and run the current round's fn on
+  /// each, catching what it throws into errors_.
+  void claim_shards();
+  void worker_loop();
 
   SimTime lookahead_;
   std::vector<std::unique_ptr<Simulation>> shards_;
   std::vector<Mailbox> mail_;  // [from * S + to]
   std::uint64_t drained_ = 0;
 
-  // Worker pool (created lazily on the first multi-threaded window).
+  // Worker pool (created lazily on the first multi-threaded round).
   int threads_ = 1;
   std::vector<std::thread> pool_;
   std::mutex mu_;
@@ -108,8 +124,11 @@ class ShardedSimulation {
   std::uint64_t round_ = 0;      // incremented to release workers
   int workers_active_ = 0;       // workers still in the current round
   bool shutdown_ = false;
-  SimTime window_bound_ = 0;     // bound of the round being executed
+  const std::function<void(int)>* round_fn_ = nullptr;  // the round's fn
   std::atomic<int> next_shard_{0};
+  /// What fn(s) threw in the current round, per shard; each slot is
+  /// written only by the thread that claimed s.
+  std::vector<std::exception_ptr> errors_;
   std::atomic<std::uint64_t> window_executed_{0};
 };
 

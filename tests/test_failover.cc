@@ -320,6 +320,68 @@ TEST(Failover, DirHashCrashIsDetectedButNeverTakenOver) {
   EXPECT_DOUBLE_EQ(unavailable.mean(), to_seconds(now - crashed_at));
 }
 
+// --- fault calls the run state gives nothing to act on ------------------
+
+TEST(Failover, RecoveringALiveMdsIsACountedNoOp) {
+  ClusterSim cluster(failover_config());
+  cluster.run_until(5 * kSecond);
+  const std::size_t cached = cluster.mds(2).cache().size();
+  ASSERT_GT(cached, 1u);
+  cluster.recover_mds(2);
+  EXPECT_EQ(cluster.mds(2).cache().size(), cached);
+  EXPECT_FALSE(cluster.mds(2).recovering());
+  EXPECT_TRUE(cluster.fault_log().incidents().empty());
+  const auto& ignored = cluster.fault_log().ignored_faults();
+  ASSERT_EQ(ignored.size(), 1u);
+  EXPECT_EQ(ignored[0].node, 2);
+  EXPECT_EQ(ignored[0].at, 5 * kSecond);
+  EXPECT_EQ(ignored[0].reason, IgnoredFault::Reason::kRestartLive);
+}
+
+// A second crash of a dead MDS opens no phantom incident: the log keeps
+// the one real crash, and its true detection latency.
+TEST(Failover, CrashingADownMdsKeepsOneIncident) {
+  ClusterSim cluster(failover_config());
+  cluster.run_until(5 * kSecond);
+  cluster.fail_mds(1);
+  cluster.run_until(15 * kSecond);
+  cluster.fail_mds(1);
+  cluster.run_until(25 * kSecond);
+
+  const FaultLog& log = cluster.fault_log();
+  ASSERT_EQ(log.incidents().size(), 1u);
+  const FaultIncident& inc = log.incidents()[0];
+  EXPECT_EQ(inc.crashed_at, 5 * kSecond);
+  ASSERT_TRUE(inc.has(inc.detected_at));
+  const Summary detection =
+      log.detection_latency_seconds(cluster.sim().now());
+  ASSERT_EQ(detection.count(), 1u);
+  EXPECT_DOUBLE_EQ(detection.mean(),
+                   to_seconds(inc.detected_at - inc.crashed_at));
+  EXPECT_LT(detection.mean(), 5.0);
+  ASSERT_EQ(log.ignored_faults().size(), 1u);
+  EXPECT_EQ(log.ignored_faults()[0].reason,
+            IgnoredFault::Reason::kCrashDown);
+  EXPECT_EQ(log.ignored_faults()[0].at, 15 * kSecond);
+}
+
+TEST(Failover, CrashingTheLastLiveMdsIsACountedNoOp) {
+  SimConfig cfg = failover_config();
+  cfg.num_mds = 2;
+  ClusterSim cluster(cfg);
+  cluster.run_until(5 * kSecond);
+  cluster.fail_mds(1);
+  cluster.run_until(8 * kSecond);
+  cluster.fail_mds(0);
+  EXPECT_FALSE(cluster.mds(0).failed());
+  EXPECT_FALSE(cluster.network().is_down(0));
+  EXPECT_EQ(cluster.fault_log().incidents().size(), 1u);
+  const auto& ignored = cluster.fault_log().ignored_faults();
+  ASSERT_EQ(ignored.size(), 1u);
+  EXPECT_EQ(ignored[0].node, 0);
+  EXPECT_EQ(ignored[0].reason, IgnoredFault::Reason::kCrashLastLive);
+}
+
 // --- fault API argument checks --------------------------------------------
 
 SimConfig tiny_config(int num_mds) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -186,6 +188,58 @@ TEST(ShardedSim, MeshRepeatsByteIdenticalAtSameThreadCount) {
   EXPECT_EQ(a.events, b.events);
 }
 
+// --- the pool's one primitive ------------------------------------------
+
+TEST(ShardedSim, ForEachShardVisitsEveryShardOnce) {
+  constexpr int kShards = 5;
+  // 8 asks for more threads than shards (clamped to the shard count).
+  for (int threads : {1, 3, 4, 8}) {
+    ShardedSimulation engine(kShards, kMillisecond);
+    engine.set_threads(threads);
+    std::vector<std::atomic<int>> visits(kShards);
+    engine.for_each_shard([&](int s) {
+      visits[static_cast<std::size_t>(s)].fetch_add(1);
+    });
+    for (int s = 0; s < kShards; ++s) {
+      EXPECT_EQ(visits[static_cast<std::size_t>(s)].load(), 1)
+          << "threads " << threads << ", shard " << s;
+    }
+
+    // Shards 3 and 1 throw: the round still visits every shard, and the
+    // lowest thrower's exception reaches the caller.
+    std::vector<std::atomic<int>> seen(kShards);
+    try {
+      engine.for_each_shard([&](int s) {
+        seen[static_cast<std::size_t>(s)].fetch_add(1);
+        if (s == 1 || s == 3) {
+          throw std::runtime_error("shard " + std::to_string(s));
+        }
+      });
+      ADD_FAILURE() << "no exception, threads " << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 1") << "threads " << threads;
+    }
+    for (int s = 0; s < kShards; ++s) {
+      EXPECT_EQ(seen[static_cast<std::size_t>(s)].load(), 1)
+          << "threads " << threads << ", shard " << s;
+    }
+
+    // The pool still runs windows afterwards.
+    std::vector<int> fired(kShards, 0);
+    for (int s = 0; s < kShards; ++s) {
+      engine.shard(s).schedule_at(2 * kMillisecond, [&fired, s] {
+        ++fired[static_cast<std::size_t>(s)];
+      });
+    }
+    engine.run_until(5 * kMillisecond);
+    for (int s = 0; s < kShards; ++s) {
+      EXPECT_EQ(fired[static_cast<std::size_t>(s)], 1)
+          << "threads " << threads << ", shard " << s;
+      EXPECT_EQ(engine.shard(s).now(), 5 * kMillisecond);
+    }
+  }
+}
+
 // --- full-cluster determinism ------------------------------------------
 
 RunResult run_cluster(int threads, std::uint64_t* events) {
@@ -274,6 +328,69 @@ TEST(ClusterSim, ShardedCellsSampleTimeSeries) {
   ASSERT_EQ(cluster.num_shards(), 2);
   for (int s = 0; s < cluster.num_shards(); ++s) {
     EXPECT_FALSE(cluster.cell(s).metrics->avg_throughput().empty()) << s;
+  }
+}
+
+// Set-up runs on the engine's workers: the cells, cohorts, catalogs and
+// start-up a cluster builds on 3 or 8 threads are those of a serial build.
+TEST(ClusterSim, ParallelBuildMatchesSerialBuild) {
+  SimConfig cfg;
+  cfg.num_mds = 8;
+  cfg.num_clients = 80;
+  cfg.fs.num_users = 16;
+  cfg.fs.nodes_per_user = 100;
+  cfg.duration = 300 * kMillisecond;
+  cfg.warmup = 100 * kMillisecond;
+  cfg.shards = 8;
+  struct Built {
+    std::vector<std::size_t> tree_nodes;
+    std::uint64_t remote_ops = 0;
+    std::uint64_t events = 0;
+    RunResult result;
+  };
+  auto build = [&](int threads) {
+    cfg.threads = threads;
+    ClusterSim cluster(cfg);
+    cluster.run();
+    Built b;
+    int i = 0;
+    for (int s = 0; s < cluster.num_shards(); ++s) {
+      b.tree_nodes.push_back(cluster.cell(s).tree.node_count());
+      // mds(i) walks the cells' MDSs in shard order.
+      for (const auto& node : cluster.cell(s).mds_nodes) {
+        EXPECT_EQ(&cluster.mds(i++), node.get())
+            << "threads " << threads << ", shard " << s;
+      }
+    }
+    EXPECT_EQ(i, cluster.num_mds());
+    b.remote_ops = cluster.remote_ops();
+    b.events = cluster.engine().events_executed();
+    b.result = cluster.result();
+    return b;
+  };
+  auto bits = [](double d) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &d, sizeof u);
+    return u;
+  };
+  const Built serial = build(1);
+  EXPECT_GT(serial.remote_ops, 0u);
+  EXPECT_GT(serial.result.replies, 0u);
+  for (int threads : {3, 8}) {
+    SCOPED_TRACE(threads);
+    const Built b = build(threads);
+    EXPECT_EQ(b.tree_nodes, serial.tree_nodes);
+    EXPECT_EQ(b.remote_ops, serial.remote_ops);
+    EXPECT_EQ(b.events, serial.events);
+    const RunResult& r = b.result;
+    const RunResult& q = serial.result;
+    EXPECT_EQ(r.replies, q.replies);
+    EXPECT_EQ(r.failures, q.failures);
+    EXPECT_EQ(bits(r.avg_mds_throughput), bits(q.avg_mds_throughput));
+    EXPECT_EQ(bits(r.hit_rate), bits(q.hit_rate));
+    EXPECT_EQ(bits(r.prefix_fraction), bits(q.prefix_fraction));
+    EXPECT_EQ(bits(r.forward_fraction), bits(q.forward_fraction));
+    EXPECT_EQ(bits(r.mean_latency_ms), bits(q.mean_latency_ms));
   }
 }
 
