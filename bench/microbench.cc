@@ -3,6 +3,8 @@
 // regression harness for the library itself.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "cache/metadata_cache.h"
 #include "common/rng.h"
 #include "core/cluster.h"
@@ -96,6 +98,52 @@ void BM_EventCancelHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_EventCancelHeavy);
+
+namespace {
+/// One client of BM_EventTimeoutChurn: each reply cancels the client's
+/// pending timeout, arms a fresh far-future one and issues the next
+/// request (whose reply is this event again).
+struct TimeoutChurnReply {
+  Simulation* sim;
+  std::vector<EventHandle>* timeouts;
+  std::uint32_t* lcg;
+  std::uint32_t client;
+  void operator()() const {
+    EventHandle& t = (*timeouts)[client];
+    t.cancel();
+    t = sim->schedule(60 * kSecond, [] {});
+    *lcg = *lcg * 1664525u + 1013904223u;
+    sim->schedule(kMillisecond + (*lcg >> 12) % kMillisecond, *this);
+  }
+};
+}  // namespace
+
+void BM_EventTimeoutChurn(benchmark::State& state) {
+  const std::uint64_t fb_base = inline_task_stats::heap_fallbacks;
+  // The cohort-of-one pattern: N clients, each with one request in flight
+  // and one 60 s timeout that every reply re-arms. The timeouts never
+  // fire, so the engine only stays small if it discards cancelled keys
+  // before they surface. N live replies + N live timeouts at all times.
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  Simulation sim;
+  std::vector<EventHandle> timeouts(n);
+  std::uint32_t lcg = 1;
+  for (std::uint32_t c = 0; c < n; ++c) {
+    TimeoutChurnReply{&sim, &timeouts, &lcg, c}();
+  }
+  constexpr int kBatch = 1024;
+  for (auto _ : state) {
+    for (int i = 0; i < kBatch; ++i) sim.step(~SimTime{0});
+  }
+  benchmark::DoNotOptimize(lcg);
+  state.counters["heap_keys_per_live"] =
+      static_cast<double>(sim.counters().heap_keys) /
+      static_cast<double>(sim.events_pending());
+  state.counters["task_heap_fallbacks"] = static_cast<double>(
+      inline_task_stats::heap_fallbacks - fb_base);
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_EventTimeoutChurn)->Arg(64)->Arg(1024);
 
 namespace {
 struct CountingEndpoint final : NetEndpoint {

@@ -232,6 +232,9 @@ class MetadataCache {
   /// Iterate all entries (migration export, diagnostics). The callback
   /// must not insert or erase entries (collect first, then mutate).
   void for_each(const std::function<void(CacheEntry&)>& fn);
+  /// Reorder resident `entries` into the order for_each visits them, so a
+  /// caller that found them another way acts on them in scan order.
+  void sort_in_scan_order(std::vector<CacheEntry*>& entries) const;
 
   // ---- protocol sidecar (EntryAux) ---------------------------------------
   /// Sidecar for `ino`, or nullptr if none exists.

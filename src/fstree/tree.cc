@@ -186,7 +186,7 @@ bool FsTree::remove(FsNode* node) {
   adjust_subtree_sizes(dir, -1);
   auto it = dir->children_.find(node->name_);
   assert(it != dir->children_.end());
-  graveyard_.push_back(std::move(it->second));
+  graveyard_[dir].push_back(std::move(it->second));
   dir->children_.erase(it);
   dir->child_list_.erase(list_pos(dir->child_list_, node->name_));
   bump_version(dir, dir->inode_.ctime);
@@ -229,6 +229,7 @@ bool FsTree::rename(FsNode* node, FsNode* new_parent,
   bump_version(old_parent, old_parent->inode_.ctime);
   bump_version(new_parent, new_parent->inode_.ctime);
   bump_version(raw, raw->inode_.ctime);
+  ++renames_;
   return true;
 }
 
@@ -269,6 +270,26 @@ bool FsTree::is_ancestor_of(const FsNode* ancestor, const FsNode* node) {
     if (n == ancestor) return true;
   }
   return false;
+}
+
+void FsTree::for_each_descendant(
+    const FsNode* dir, const std::function<void(FsNode*)>& fn) const {
+  // Only directories can hold children, live or tombstoned.
+  std::vector<const FsNode*> stack{dir};
+  while (!stack.empty()) {
+    const FsNode* n = stack.back();
+    stack.pop_back();
+    for (FsNode* c : n->child_list_) {
+      fn(c);
+      if (c->is_dir()) stack.push_back(c);
+    }
+    if (auto it = graveyard_.find(n); it != graveyard_.end()) {
+      for (const std::unique_ptr<FsNode>& t : it->second) {
+        fn(t.get());
+        if (t->is_dir()) stack.push_back(t.get());
+      }
+    }
+  }
 }
 
 void FsTree::visit(const std::function<void(FsNode*)>& fn) const {

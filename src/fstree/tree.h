@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fstree/inode.h"
@@ -142,6 +143,19 @@ class FsTree {
   /// True if `ancestor` is on `node`'s parent chain (or equal).
   static bool is_ancestor_of(const FsNode* ancestor, const FsNode* node);
 
+  /// Visit every node that has `dir` strictly above it on its parent
+  /// chain — exactly the nodes `is_ancestor_of(dir, n) && n != dir`
+  /// accepts. Tombstoned nodes are included: `remove` keeps their parent
+  /// link, so they stay under their old directory and move with it.
+  /// Order is unspecified.
+  void for_each_descendant(const FsNode* dir,
+                           const std::function<void(FsNode*)>& fn) const;
+
+  /// Successful renames so far. Only `rename` changes a live node's
+  /// parent chain, so an `is_ancestor_of` answer stays exact while this
+  /// count does not move.
+  std::uint64_t renames() const { return renames_; }
+
   // --- Sampling support ----------------------------------------------------
   /// All regular files / all directories, in unspecified order. Stable
   /// positions except for swap-removals; suitable for uniform sampling.
@@ -166,13 +180,18 @@ class FsTree {
   }
 
   std::unique_ptr<FsNode> root_;
-  std::vector<std::unique_ptr<FsNode>> graveyard_;
+  /// Tombstones, owned here and keyed by the directory they were removed
+  /// from (their frozen `parent_`), so subtree walks reach them without a
+  /// field in FsNode.
+  std::unordered_map<const FsNode*, std::vector<std::unique_ptr<FsNode>>>
+      graveyard_;
   std::vector<FsNode*> by_ino_;  // dense: indexed by InodeId
   std::vector<FsNode*> files_;
   std::vector<FsNode*> dirs_;
   std::vector<RemoteLink> links_;
   InodeId next_ino_ = kRootInode + 1;
   std::uint64_t node_count_ = 0;
+  std::uint64_t renames_ = 0;
 };
 
 }  // namespace mdsim

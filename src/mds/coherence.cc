@@ -55,15 +55,20 @@ void MdsNode::handle_invalidate(const CacheInvalidateMsg& m) {
   if (m.whole_subtree) {
     // A directory moved: every cached descendant is stale (its position,
     // and under hashing its location, changed). Collect, then drop
-    // deepest-first to respect the cache tree invariant.
+    // deepest-first to respect the cache tree invariant. The moved
+    // subtree is usually far smaller than the cache, so walk it in the
+    // namespace (tombstones included) and peek each node. Victims are put
+    // in cache-scan order first because the depth sort is not stable: a
+    // tombstone keeps the depth it had when removed, so it can tie with
+    // the directory it anchors, and their order decides whether that
+    // directory's erase succeeds.
     FsNode* moved = ctx_.tree.by_ino(m.ino);
     if (moved == nullptr) return;
     std::vector<CacheEntry*> victims;
-    cache_.for_each([&](CacheEntry& e) {
-      if (e.node != moved && FsTree::is_ancestor_of(moved, e.node)) {
-        victims.push_back(&e);
-      }
+    ctx_.tree.for_each_descendant(moved, [&](FsNode* n) {
+      if (CacheEntry* e = cache_.peek(n->ino())) victims.push_back(e);
     });
+    cache_.sort_in_scan_order(victims);
     std::sort(victims.begin(), victims.end(),
               [](const CacheEntry* a, const CacheEntry* b) {
                 return a->node->depth() > b->node->depth();

@@ -82,10 +82,12 @@ void Simulation::heap_push(HeapKey key) {
 
 void Simulation::heap_pop_root() {
   const HeapKey key = heap_[--heap_end_];
+  if (heap_end_ > kHeapRoot) sift_down(kHeapRoot, key);
+}
+
+void Simulation::sift_down(std::size_t i, HeapKey key) {
   const std::size_t end = heap_end_;
-  if (end == kHeapRoot) return;
   HeapKey* h = heap_;
-  std::size_t i = kHeapRoot;
   for (;;) {
     const std::size_t first = heap_first_child(i);
     std::size_t best;
@@ -110,6 +112,26 @@ void Simulation::heap_pop_root() {
     i = best;
   }
   h[i] = key;
+}
+
+void Simulation::compact_heap() {
+  std::size_t end = kHeapRoot;
+  for (std::size_t i = kHeapRoot; i < heap_end_; ++i) {
+    const HeapKey key = heap_[i];
+    if (slot_ref(key.slot).cancelled) {
+      free_slot(key.slot);
+    } else {
+      heap_[end++] = key;
+    }
+  }
+  heap_end_ = end;
+  // Bottom-up heapify: sift each interior key down, last parent first.
+  // Firing order is the total (time, seq) order, so the rebuilt shape
+  // cannot change which event fires next.
+  if (end - kHeapRoot < 2) return;
+  for (std::size_t i = heap_parent(end - 1) + 1; i-- > kHeapRoot;) {
+    sift_down(i, heap_[i]);
+  }
 }
 
 EventHandle Simulation::schedule(SimTime delay, InlineTask fn) {
@@ -141,6 +163,13 @@ void Simulation::cancel_event(std::uint32_t slot, std::uint32_t gen) {
   s.fn = InlineTask{};  // release captures eagerly
   ++cancelled_;
   --live_pending_;
+  // The key stays in the heap until it surfaces, unless cancelled keys
+  // come to outnumber pending events: a re-armed far-future timeout would
+  // otherwise sit there for its whole delay. Each compaction costs
+  // O(keys) and removes more than keys/2 cancelled ones, so cancel stays
+  // O(1) amortised.
+  const std::size_t keys = heap_end_ - kHeapRoot;
+  if (keys - live_pending_ > live_pending_) compact_heap();
 }
 
 bool Simulation::event_pending(std::uint32_t slot, std::uint32_t gen) const {
@@ -194,7 +223,8 @@ std::uint64_t Simulation::run() {
 }
 
 Simulation::Counters Simulation::counters() const {
-  return Counters{scheduled_, executed_, cancelled_, task_heap_fallbacks_};
+  return Counters{scheduled_, executed_, cancelled_, task_heap_fallbacks_,
+                  heap_end_ - kHeapRoot};
 }
 
 void Simulation::every(SimTime period, SimTime start,

@@ -60,6 +60,12 @@ class Simulation {
     /// unlike the old scheme of snapshotting the process-wide
     /// thread-local construction counter at engine creation.
     std::uint64_t task_heap_fallbacks = 0;
+    /// Keys in the event heap right now: pending events plus cancelled
+    /// ones not yet discarded. Cancellation is lazy but bounded — the
+    /// heap is compacted whenever cancelled keys outnumber pending
+    /// events — so right after any cancel this is at most
+    /// 2 × events_pending().
+    std::uint64_t heap_keys = 0;
   };
 
   Simulation();
@@ -124,8 +130,9 @@ class Simulation {
   static constexpr SimTime kNoEvent = ~SimTime{0};
   /// Timestamp of the earliest queued event, or kNoEvent. May be
   /// conservatively early when the head entry was cancelled (cancelled
-  /// slots stay in the heap until popped) — callers using this as a
-  /// window lower bound stay correct, at worst running an empty window.
+  /// slots stay in the heap until popped or compacted away) — callers
+  /// using this as a window lower bound stay correct, at worst running an
+  /// empty window.
   SimTime next_event_time() const {
     return heap_end_ > kHeapRoot ? heap_[kHeapRoot].time : kNoEvent;
   }
@@ -200,6 +207,10 @@ class Simulation {
   void free_slot(std::uint32_t slot);
   void heap_push(HeapKey key);
   void heap_pop_root();
+  /// Move `key` down from the hole at `i` to its place in the heap.
+  void sift_down(std::size_t i, HeapKey key);
+  /// Free every cancelled key's slot and rebuild the heap in place.
+  void compact_heap();
   void heap_grow();
 
   void cancel_event(std::uint32_t slot, std::uint32_t gen);

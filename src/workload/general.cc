@@ -201,20 +201,31 @@ SimTime GeneralWorkload::next(ClientId c, SimTime now, Rng& rng,
   return params_.mean_think;
 }
 
-bool GeneralWorkload::generate(ClientId c, ClientState& s, Rng& rng,
-                               Operation* out) {
-  // Clients that shifted into a destination subtree use the shift mix
-  // (create-heavy by default); everyone else the base mix.
-  bool in_shift_region = false;
-  if (shift_.has_value() && s.shifted && shift_->mix.has_value()) {
+bool GeneralWorkload::in_shift_region(ClientState& s) const {
+  // Nodes are never freed and only a rename changes a parent chain, so
+  // the answer for one region holds until the next rename anywhere.
+  if (s.region != s.shift_memo_region ||
+      tree_.renames() != s.shift_memo_renames) {
+    s.shift_memo_region = s.region;
+    s.shift_memo_renames = tree_.renames();
+    s.shift_memo_in = false;
     for (FsNode* d : shift_->destinations) {
       if (FsTree::is_ancestor_of(d, s.region)) {
-        in_shift_region = true;
+        s.shift_memo_in = true;
         break;
       }
     }
   }
-  const OpMix& use = in_shift_region ? *shift_->mix : mix_;
+  return s.shift_memo_in;
+}
+
+bool GeneralWorkload::generate(ClientId c, ClientState& s, Rng& rng,
+                               Operation* out) {
+  // Clients that shifted into a destination subtree use the shift mix
+  // (create-heavy by default); everyone else the base mix.
+  const bool shift_mix = shift_.has_value() && s.shifted &&
+                         shift_->mix.has_value() && in_shift_region(s);
+  const OpMix& use = shift_mix ? *shift_->mix : mix_;
 
   const OpType op = use.sample(rng);
   out->op = op;

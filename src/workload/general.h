@@ -87,6 +87,11 @@ class GeneralWorkload final : public Workload {
     std::size_t stat_head = 0;
     bool started = false;
     bool shifted = false;
+    /// Memo of "region lies under a shift destination", valid while the
+    /// region and the tree's rename count are the ones recorded here.
+    bool shift_memo_in = false;
+    const FsNode* shift_memo_region = nullptr;
+    std::uint64_t shift_memo_renames = 0;
     std::uint64_t name_counter = 0;
   };
 
@@ -98,6 +103,7 @@ class GeneralWorkload final : public Workload {
   FsNode* random_dir_in_region(ClientState& s, Rng& rng);
   FsNode* random_file_in(FsNode* dir, Rng& rng);
   bool generate(ClientId c, ClientState& s, Rng& rng, Operation* out);
+  bool in_shift_region(ClientState& s) const;
 
   FsTree& tree_;
   std::vector<FsNode*> homes_;

@@ -195,5 +195,45 @@ TEST_F(CoherenceTest, UnlinkInvalidationRemovesChildlessReplicas) {
   }
 }
 
+TEST_F(CoherenceTest, SubtreeInvalidationDropsTombstonesAndRenamedIn) {
+  build(StrategyKind::kDynamicSubtree);
+  FsTree& tree = cluster->tree();
+  FsNode* home = cluster->namespace_info().user_roots[0];
+  FsNode* moved = tree.mkdir(home, "moved");
+  FsNode* sub = tree.mkdir(moved, "sub");
+  FsNode* gone = tree.create_file(sub, "gone");
+  FsNode* elsewhere = tree.mkdir(home, "elsewhere");
+  FsNode* renamed_in = tree.create_file(elsewhere, "x");
+  FsNode* sibling = tree.mkdir(home, "sibling");
+  FsNode* keep = tree.create_file(sibling, "keep");
+
+  // MDS 1 holds replicas of all of it, prefixes included.
+  const MdsId holder = 1;
+  MetadataCache& cache = cluster->mds(holder).cache();
+  const SimTime now = cluster->sim().now();
+  for (FsNode* leaf : {gone, renamed_in, keep}) {
+    for (FsNode* a : leaf->ancestry()) {
+      cache.insert(a, InsertKind::kPrefix, /*authoritative=*/false, now);
+    }
+  }
+  ASSERT_TRUE(tree.remove(gone));  // cached tombstone under `sub`
+  ASSERT_TRUE(tree.rename(renamed_in, sub, "x"));
+
+  auto inv = std::make_unique<CacheInvalidateMsg>();
+  inv->ino = moved->ino();
+  inv->whole_subtree = true;
+  inv->epoch = cluster->mds(holder).view_epoch();
+  cluster->network().send(0, holder, std::move(inv));
+  run_for(kSecond);
+
+  EXPECT_EQ(cache.peek(gone->ino()), nullptr);
+  EXPECT_EQ(cache.peek(renamed_in->ino()), nullptr);
+  EXPECT_EQ(cache.peek(sub->ino()), nullptr);
+  EXPECT_NE(cache.peek(sibling->ino()), nullptr);
+  EXPECT_NE(cache.peek(keep->ino()), nullptr);
+  EXPECT_NE(cache.peek(elsewhere->ino()), nullptr);
+  EXPECT_EQ(cache.check_invariants(), "");
+}
+
 }  // namespace
 }  // namespace mdsim

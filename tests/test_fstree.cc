@@ -213,6 +213,49 @@ TEST_F(FsTreeTest, VisitCoversAllNodes) {
   EXPECT_EQ(seen.size(), tree.node_count());
 }
 
+TEST_F(FsTreeTest, ForEachDescendantReachesTombstones) {
+  FsNode* top = tree.mkdir(tree.root(), "top");
+  FsNode* d = tree.mkdir(top, "d");
+  FsNode* f = tree.create_file(top, "f");
+  // A removed file.
+  FsNode* gone = tree.create_file(d, "gone");
+  ASSERT_TRUE(tree.remove(gone));
+  // A removed directory's removed child.
+  FsNode* rm = tree.mkdir(top, "rm");
+  FsNode* rm_child = tree.create_file(rm, "c");
+  ASSERT_TRUE(tree.remove(rm_child));
+  ASSERT_TRUE(tree.remove(rm));
+  // A tombstone carried into the subtree by a directory rename.
+  FsNode* outside = tree.mkdir(tree.root(), "outside");
+  FsNode* carried_dir = tree.mkdir(outside, "cd");
+  FsNode* carried = tree.create_file(carried_dir, "t");
+  ASSERT_TRUE(tree.remove(carried));
+  const std::uint64_t renames = tree.renames();
+  ASSERT_TRUE(tree.rename(carried_dir, top, "cd"));
+  EXPECT_EQ(tree.renames(), renames + 1);
+  EXPECT_FALSE(tree.rename(top, d, "loop"));  // refused: no count
+  EXPECT_EQ(tree.renames(), renames + 1);
+  // Left outside: a sibling subtree and the directory the rename emptied.
+  FsNode* sib = tree.mkdir(tree.root(), "sib");
+  tree.create_file(sib, "s");
+
+  std::multiset<const FsNode*> seen;
+  tree.for_each_descendant(top, [&](FsNode* n) { seen.insert(n); });
+  const std::multiset<const FsNode*> expect{
+      d, f, gone, rm, rm_child, carried_dir, carried};
+  EXPECT_EQ(seen, expect);
+  // The walk is exactly the ancestor predicate, tombstones included.
+  for (const FsNode* n : expect) {
+    EXPECT_TRUE(FsTree::is_ancestor_of(top, n)) << n->name();
+  }
+  EXPECT_FALSE(FsTree::is_ancestor_of(top, outside));
+  std::multiset<const FsNode*> under_outside;
+  tree.for_each_descendant(outside, [&](FsNode* n) {
+    under_outside.insert(n);
+  });
+  EXPECT_TRUE(under_outside.empty());
+}
+
 // --- generator ------------------------------------------------------------
 
 TEST(Generator, DeterministicForSeed) {

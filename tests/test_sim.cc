@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -279,6 +281,128 @@ TEST(Simulation, SchedulingFromCallbackReusesSlabSafely) {
   sim.run();
   EXPECT_EQ(sum, 600 * 601 / 2);
   EXPECT_EQ(sim.counters().fired, 600u);
+}
+
+TEST(Simulation, RandomScheduleCancelMatchesSortedReference) {
+  // A seeded mix of schedules (near and far future, same-instant ties
+  // included), cancels from outside and from inside callbacks, and steps.
+  // The reference model: every event not cancelled before it fired runs,
+  // in (time, schedule order) order.
+  Simulation sim;
+  std::mt19937_64 rng(20261019);
+  struct Ref {
+    SimTime at;
+    EventHandle h;
+    bool cancelled = false;
+    bool fired = false;
+  };
+  std::vector<Ref> refs;
+  std::vector<std::size_t> fired;
+  std::size_t live = 0;
+  std::function<void(std::size_t)> on_fire;
+  auto schedule_one = [&] {
+    const SimTime delay = rng() % 4 == 0 ? 1'000'000 + rng() % 16
+                                         : rng() % 8;
+    const std::size_t id = refs.size();
+    refs.push_back(Ref{sim.now() + delay, {}});
+    refs[id].h = sim.schedule(delay, [&, id] { on_fire(id); });
+    ++live;
+  };
+  auto cancel_one = [&] {
+    if (refs.empty()) return;
+    Ref& r = refs[rng() % refs.size()];
+    const bool effective = !r.fired && !r.cancelled;
+    r.h.cancel();  // a no-op on a fired, cancelled or running event
+    if (!effective) return;
+    r.cancelled = true;
+    --live;
+    EXPECT_LE(sim.counters().heap_keys, 2 * sim.events_pending());
+  };
+  on_fire = [&](std::size_t id) {
+    ASSERT_FALSE(refs[id].cancelled);
+    refs[id].fired = true;
+    --live;
+    fired.push_back(id);
+    const auto r = rng() % 8;
+    if (r < 3) schedule_one();
+    if (r >= 2 && r < 6) cancel_one();
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const auto r = rng() % 10;
+    if (r < 4) {
+      schedule_one();
+    } else if (r < 8) {
+      cancel_one();
+    } else {
+      sim.step(~SimTime{0});
+    }
+    ASSERT_EQ(sim.events_pending(), live);
+  }
+  sim.run();
+
+  std::vector<std::size_t> expect;
+  for (std::size_t id = 0; id < refs.size(); ++id) {
+    if (!refs[id].cancelled) expect.push_back(id);
+  }
+  std::stable_sort(expect.begin(), expect.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return refs[a].at < refs[b].at;
+                   });
+  EXPECT_EQ(fired, expect);
+  EXPECT_EQ(sim.counters().heap_keys, 0u);
+}
+
+TEST(Simulation, ReArmedTimeoutKeepsHeapBounded) {
+  // A cohort of one: every reply cancels a 60 s timeout and arms the next.
+  // Without compaction each cancelled timeout would sit in the heap for a
+  // full minute of simulated time.
+  Simulation sim;
+  EventHandle timeout;
+  int timeouts_fired = 0;
+  int replies = 0;
+  std::function<void()> reply = [&] {
+    ++replies;
+    timeout.cancel();
+    timeout = sim.schedule(60 * kSecond, [&] { ++timeouts_fired; });
+    if (replies < 10000) sim.schedule(kMillisecond, reply);
+  };
+  for (int c = 0; c < 4; ++c) sim.schedule(c, [] {});  // other live work
+  sim.schedule(kMillisecond, reply);
+  while (sim.step(kSecond * 30)) {
+    EXPECT_LE(sim.counters().heap_keys, 2 * sim.events_pending() + 1);
+  }
+  EXPECT_EQ(replies, 10000);
+  EXPECT_EQ(timeouts_fired, 0);
+  EXPECT_EQ(sim.events_pending(), 1u);  // the last timeout
+  EXPECT_EQ(sim.counters().cancelled, 9999u);
+  sim.run();
+  EXPECT_EQ(timeouts_fired, 1);
+}
+
+TEST(Simulation, StaleHandlesStayInertAcrossCompaction) {
+  Simulation sim;
+  int fired = 0;
+  sim.schedule(1, [&] { ++fired; });
+  std::vector<EventHandle> stale;
+  for (int i = 0; i < 64; ++i) {
+    stale.push_back(sim.schedule(kSecond, [&] { fired += 1000; }));
+  }
+  // Cancelling all 64 compacts the heap at least once, freeing their
+  // slots for the events scheduled next.
+  for (EventHandle& h : stale) h.cancel();
+  EXPECT_LE(sim.counters().heap_keys, 2u);
+  std::vector<EventHandle> fresh;
+  for (int i = 0; i < 64; ++i) {
+    fresh.push_back(sim.schedule(2, [&] { ++fired; }));
+  }
+  for (EventHandle& h : stale) {
+    EXPECT_FALSE(h.pending());
+    h.cancel();  // must not reach whichever fresh event took the slot
+  }
+  for (const EventHandle& h : fresh) EXPECT_TRUE(h.pending());
+  EXPECT_EQ(sim.counters().cancelled, 64u);
+  sim.run();
+  EXPECT_EQ(fired, 65);
 }
 
 // --- QueueServer --------------------------------------------------------

@@ -189,6 +189,37 @@ TEST_F(GeneralWorkloadTest, ShiftFractionRespected) {
   EXPECT_NEAR(shifted, kClients / 2, kClients / 8);
 }
 
+TEST_F(GeneralWorkloadTest, ShiftMixFollowsARenameIntoTheDestination) {
+  // The region stays put, but a rename carries it under a shift
+  // destination: the next op must come from the shift mix.
+  std::vector<double> stat_only(kNumOpTypes, 0.0);
+  std::vector<double> create_only(kNumOpTypes, 0.0);
+  stat_only[static_cast<std::size_t>(OpType::kStat)] = 1.0;
+  create_only[static_cast<std::size_t>(OpType::kCreate)] = 1.0;
+  GeneralWorkloadParams params;
+  params.p_stay = 1.0;  // the region never drifts
+  GeneralWorkload wl(tree, info.user_roots, OpMix(stat_only), params);
+  FsNode* dest = tree.mkdir(tree.root(), "shift_dest");
+  WorkloadShift shift;
+  shift.at = 0;
+  shift.fraction = 0.0;  // nobody is moved: only the region picks the mix
+  shift.destinations = {dest};
+  shift.mix = OpMix(create_only);
+  wl.set_shift(shift);
+  Rng rng(29);
+  Operation op;
+  wl.next(0, kSecond, rng, &op);
+  EXPECT_EQ(op.op, OpType::kStat);
+  FsNode* region = const_cast<FsNode*>(wl.region_of(0));
+  ASSERT_TRUE(tree.rename(region, dest, "moved_in"));
+  wl.next(0, 2 * kSecond, rng, &op);
+  EXPECT_EQ(wl.region_of(0), region);
+  EXPECT_EQ(op.op, OpType::kCreate);
+  ASSERT_TRUE(tree.rename(region, tree.root(), "moved_out"));
+  wl.next(0, 3 * kSecond, rng, &op);
+  EXPECT_EQ(op.op, OpType::kStat);
+}
+
 // --- scientific -----------------------------------------------------------
 
 TEST(ScientificWorkload, BurstsConvergeOnSharedTargets) {
