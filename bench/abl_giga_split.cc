@@ -72,24 +72,6 @@ SimConfig storm_config(bool giga, bool quick) {
   return cfg;
 }
 
-std::uint64_t sum_redirects(ClusterSim& cluster) {
-  std::uint64_t n = 0;
-  for (int i = 0; i < cluster.num_clients(); ++i) {
-    n += cluster.client(i).stats().giga_redirects;
-  }
-  return n;
-}
-
-void sum_latency(ClusterSim& cluster, double* sum_s, std::uint64_t* count) {
-  *sum_s = 0.0;
-  *count = 0;
-  for (int i = 0; i < cluster.num_clients(); ++i) {
-    const Summary& s = cluster.client(i).stats().latency_seconds;
-    *sum_s += s.sum();
-    *count += s.count();
-  }
-}
-
 VariantResult run_variant(const std::string& label, bool giga, bool chaos,
                           bool quick) {
   SimConfig cfg = storm_config(giga, quick);
@@ -117,11 +99,11 @@ VariantResult run_variant(const std::string& label, bool giga, bool chaos,
     row.t_s = to_seconds(t);
     row.splits = reg.split_events - prev_splits;
     row.pair_merges = reg.pair_merge_events - prev_merges;
-    const std::uint64_t redirects = sum_redirects(cluster);
+    const ClientStats clients = cluster.client_stats();
+    const std::uint64_t redirects = clients.giga_redirects;
     row.redirects = redirects - prev_redirects;
-    double lat_sum;
-    std::uint64_t lat_count;
-    sum_latency(cluster, &lat_sum, &lat_count);
+    const double lat_sum = clients.latency_seconds.sum();
+    const std::uint64_t lat_count = clients.latency_seconds.count();
     if (lat_count > prev_lat_count) {
       row.mean_latency_ms = (lat_sum - prev_lat_sum) /
                             static_cast<double>(lat_count - prev_lat_count) *
@@ -142,7 +124,7 @@ VariantResult run_variant(const std::string& label, bool giga, bool chaos,
   r.merge_events = reg.merge_events;
   r.max_event_moved = reg.max_event_moved;
   r.total_event_moved = reg.total_event_moved;
-  r.redirects_total = sum_redirects(cluster);
+  r.redirects_total = cluster.client_stats().giga_redirects;
 
   // Redirects observed after the bitmap went quiet: everything strictly
   // after the interval holding the last split/pair-merge, plus one

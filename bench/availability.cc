@@ -86,13 +86,7 @@ int run_crash(bool quick) {
 
   Metrics& m = cluster.metrics();
 
-  std::uint64_t retries = 0, stale = 0, failed = 0;
-  for (int c = 0; c < cluster.num_clients(); ++c) {
-    const ClientStats& s = cluster.client(c).stats();
-    retries += s.retries;
-    stale += s.stale_replies;
-    failed += s.ops_failed;
-  }
+  const ClientStats clients = cluster.client_stats();
   std::uint64_t detections = 0, takeovers = 0, warm_items = 0;
   for (int i = 0; i < cluster.num_mds(); ++i) {
     const MdsStats& s = cluster.mds(i).stats();
@@ -119,8 +113,9 @@ int run_crash(bool quick) {
                 log.recovery_time_seconds(now));
   std::cout << "Counters: detections " << detections << "; takeovers "
             << takeovers << "; warm-replayed items " << warm_items
-            << "; client retries " << retries << "; stale replies " << stale
-            << "; ops abandoned " << failed << "\n";
+            << "; client retries " << clients.retries << "; stale replies "
+            << clients.stale_replies << "; ops abandoned "
+            << clients.ops_failed << "\n";
   std::cout << "Throughput: healthy " << fmt_double(before, 0)
             << " ops/s; crash window " << fmt_double(dip, 0)
             << "; after rejoin " << fmt_double(recovered, 0) << "\n";
@@ -153,13 +148,7 @@ int run_partition(bool quick) {
 
   Metrics& m = cluster.metrics();
 
-  std::uint64_t retries = 0, stale = 0, failed = 0;
-  for (int c = 0; c < cluster.num_clients(); ++c) {
-    const ClientStats& s = cluster.client(c).stats();
-    retries += s.retries;
-    stale += s.stale_replies;
-    failed += s.ops_failed;
-  }
+  const ClientStats clients = cluster.client_stats();
   std::uint64_t fences = 0, unfences = 0, parked = 0, stale_rejects = 0;
   std::uint64_t deferred = 0, takeovers = 0, reconciled = 0;
   for (int i = 0; i < cluster.num_mds(); ++i) {
@@ -200,8 +189,8 @@ int run_partition(bool quick) {
             << "; reconcile-dropped items " << reconciled
             << "; partition-dropped messages "
             << cluster.network().partition_dropped() << "; client retries "
-            << retries << "; stale replies " << stale << "; ops abandoned "
-            << failed << "\n";
+            << clients.retries << "; stale replies " << clients.stale_replies
+            << "; ops abandoned " << clients.ops_failed << "\n";
   if (subtree != nullptr) {
     std::cout << "Map epoch at end: " << subtree->epoch()
               << " (1 = never reconfigured)\n";

@@ -39,11 +39,8 @@ void run_mode(bool traffic_control, CsvWriter& csv, bool quick) {
   const SimTime t1 = t0 + cfg.flash.duration;
   // How many nodes actually served the crowd?
   int serving_nodes = 0;
-  std::uint64_t total_replies = 0;
   for (int i = 0; i < cluster.num_mds(); ++i) {
-    const std::uint64_t r = cluster.mds(i).stats().replies_sent;
-    total_replies += r;
-    if (r > 50) ++serving_nodes;
+    if (cluster.mds(i).stats().replies_sent > 50) ++serving_nodes;
   }
   std::cout << "  [" << mode << "] peak replies/s "
             << fmt_double(m.reply_rate().max_value(), 0)
@@ -54,7 +51,6 @@ void run_mode(bool traffic_control, CsvWriter& csv, bool quick) {
             << ", nodes serving " << serving_nodes << "/"
             << cluster.num_mds() << ", client latency mean "
             << fmt_double(m.client_latency().mean() * 1e3, 1) << " ms\n";
-  (void)total_replies;
 }
 
 }  // namespace

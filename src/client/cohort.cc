@@ -4,6 +4,24 @@
 
 namespace mdsim {
 
+ClientStats& ClientStats::operator+=(const ClientStats& o) {
+  ops_issued += o.ops_issued;
+  ops_completed += o.ops_completed;
+  ops_ok += o.ops_ok;
+  ops_failed += o.ops_failed;
+  forwarded_replies += o.forwarded_replies;
+  retries += o.retries;
+  stale_replies += o.stale_replies;
+  rejected_replies += o.rejected_replies;
+  retries_suppressed += o.retries_suppressed;
+  giga_redirects += o.giga_redirects;
+  hedges_fired += o.hedges_fired;
+  hedge_wins += o.hedge_wins;
+  wasted_hedges += o.wasted_hedges;
+  latency_seconds.merge(o.latency_seconds);
+  return *this;
+}
+
 ClientCohort::ClientCohort(Simulation& sim, Network& net, FsTree& tree,
                            Workload& workload, const Partitioner& partition,
                            const DirFragRegistry& dirfrag, int count,
@@ -30,7 +48,6 @@ ClientCohort::ClientCohort(Simulation& sim, Network& net, FsTree& tree,
           on_timer(idx, stamp);
         },
         kMillisecond);
-    wheel_->set_bucket_end_hook([this]() { flush_turn_stats(); });
   }
   clients_.resize(static_cast<std::size_t>(count));
   for (std::size_t i = 0; i < clients_.size(); ++i) {
@@ -77,10 +94,7 @@ void ClientCohort::arm(std::uint32_t idx, Kind kind, SimTime due) {
   // compare in on_timer never fails here — cancel() already dropped the
   // superseded event — but keeps one timer path for both modes.
   timer_.cancel();
-  timer_ = sim_.schedule_at(due, [this, stamp]() {
-    on_timer(0, stamp);
-    flush_turn_stats();
-  });
+  timer_ = sim_.schedule_at(due, [this, stamp]() { on_timer(0, stamp); });
 }
 
 void ClientCohort::disarm(std::uint32_t idx) {
@@ -205,9 +219,7 @@ void ClientCohort::issue(std::uint32_t idx) {
   c.inflight = msg->req_id;
   c.issued_at = sim_.now();
   c.hedge_out = 0;
-  // Turn-scope counter: every issue happens inside a timer service
-  // (think or retry fire), whose end folds it into stats_.
-  ++pending_stats_.issued;
+  ++stats_.ops_issued;
 
   if (c.remote != 0) {
     // Cross-shard stat: the catalog entry names a remote MDS by global
@@ -273,7 +285,7 @@ void ClientCohort::issue(std::uint32_t idx) {
 void ClientCohort::on_hedge(std::uint32_t idx) {
   Slot& c = clients_[idx];
   if (c.inflight == 0) return;  // raced with the reply
-  ++pending_stats_.hedged;
+  ++stats_.hedges_fired;
   c.hedge_out = 1;
   // One backup copy, same req_id: whichever reply loses the race fails
   // the req_id match and is discarded as stale. Never traced (two
@@ -302,13 +314,13 @@ void ClientCohort::on_hedge(std::uint32_t idx) {
 void ClientCohort::give_up(std::uint32_t idx) {
   clients_[idx].inflight = 0;
   clients_[idx].attempts = 0;
-  ++pending_stats_.failed;  // reached only from timeout/retry fires
+  ++stats_.ops_failed;
   schedule_next(idx);
 }
 
 void ClientCohort::on_timeout(std::uint32_t idx) {
   Slot& c = clients_[idx];
-  ++pending_stats_.retries;
+  ++stats_.retries;
   ++c.attempts;
   if (c.remote == 0 && !tree_.alive(c.pending.target)) {
     give_up(idx);
@@ -318,7 +330,7 @@ void ClientCohort::on_timeout(std::uint32_t idx) {
   // dry budget means the cluster is rejecting/timing out far faster than
   // it serves — fail fast instead of feeding the storm.
   if (!c.budget.try_spend(retry_.budget)) {
-    ++pending_stats_.suppressed;
+    ++stats_.retries_suppressed;
     give_up(idx);
     return;
   }
@@ -365,25 +377,17 @@ void ClientCohort::on_reply(std::uint32_t idx, NetAddr from, MessagePtr msg) {
     // Overload rejection: the request never entered a queue. Honor the
     // server's retry_after (plus jitter) if the budget allows a retry;
     // otherwise fail fast. Mirrors the timeout path's bookkeeping but
-    // comes back much sooner than a full request timeout. Reply-path
-    // context: stats_ is updated directly, never through the turn-scope
-    // pending counters.
+    // comes back much sooner than a full request timeout.
     ++stats_.rejected_replies;
     ++c.attempts;
     c.hedge_out = 0;
     if (c.remote == 0 && !tree_.alive(c.pending.target)) {
-      c.inflight = 0;
-      c.attempts = 0;
-      ++stats_.ops_failed;
-      schedule_next(idx);
+      give_up(idx);
       return;
     }
     if (!c.budget.try_spend(retry_.budget)) {
       ++stats_.retries_suppressed;
-      c.inflight = 0;
-      c.attempts = 0;
-      ++stats_.ops_failed;
-      schedule_next(idx);
+      give_up(idx);
       return;
     }
     const SimTime delay = rejected_retry_delay(reply.retry_after, c.rng);

@@ -25,7 +25,8 @@
 //    whole bucket. Each shard of a larger ClusterSim is one such cohort.
 // Client `id` draws from Rng(seed, 0xc11e47000 + id) in both cases, so a
 // client's stream depends on its global id, not on how clients are
-// grouped into cohorts.
+// grouped into cohorts. Either way the cohort's ClientStats counters are
+// bumped as their events happen, timer-driven or reply-driven alike.
 //
 // Each client still owns a real network address — a per-client Port
 // endpoint attaches to the Network — so MDS-side per-address logic
@@ -75,6 +76,9 @@ struct ClientStats {
   std::uint64_t hedge_wins = 0;         // ops settled by the backup copy
   std::uint64_t wasted_hedges = 0;      // primary won after a hedge fired
   Summary latency_seconds;
+
+  /// Add `o`'s counters and merge its latency Summary into this one.
+  ClientStats& operator+=(const ClientStats& o);
 };
 
 class ClientCohort {
@@ -224,27 +228,6 @@ class ClientCohort {
   std::uint64_t remote_issued_ = 0;
 
   ClientStats stats_;
-  /// Turn counters accumulated during one timer service and folded into
-  /// stats_ at its end: by the wheel's bucket-end hook (one stats update
-  /// per bucket, not one per timer), or right after a cohort of one's
-  /// exact timer fires. Reply-path counters (completions, latency) are
-  /// driven by network delivery, not timers, and update stats_ directly.
-  struct PendingTurnStats {
-    std::uint32_t issued = 0;
-    std::uint32_t retries = 0;
-    std::uint32_t failed = 0;
-    std::uint32_t suppressed = 0;  // budget-denied timeout retries
-    std::uint32_t hedged = 0;      // backup requests sent (hedge fires)
-  };
-  PendingTurnStats pending_stats_;
-  void flush_turn_stats() {
-    stats_.ops_issued += pending_stats_.issued;
-    stats_.retries += pending_stats_.retries;
-    stats_.ops_failed += pending_stats_.failed;
-    stats_.retries_suppressed += pending_stats_.suppressed;
-    stats_.hedges_fired += pending_stats_.hedged;
-    pending_stats_ = PendingTurnStats{};
-  }
 };
 
 }  // namespace mdsim

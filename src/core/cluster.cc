@@ -200,8 +200,14 @@ RunResult ClusterSim::result() const {
 }
 
 ClientCohort& ClusterSim::client(int i) {
-  assert(num_shards() == 1 && "per-client cohorts are single-shard");
+  assert(i >= 0 && static_cast<std::size_t>(i) < clients_.size());
   return *clients_[static_cast<std::size_t>(i)];
+}
+
+ClientStats ClusterSim::client_stats() const {
+  ClientStats total;
+  for (const auto& c : clients_) total += c->stats();
+  return total;
 }
 
 std::uint64_t ClusterSim::remote_ops() const {

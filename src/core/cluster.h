@@ -130,10 +130,14 @@ class ClusterSim {
   /// MDS i in global order: shard 0's MDSs, then shard 1's, and so on.
   MdsNode& mds(int i) { return *mds_[static_cast<std::size_t>(i)]; }
   int num_mds() const { return config_.num_mds; }
-  /// Client i, as its own cohort of one. Single-shard only: a shard of a
-  /// larger cluster keeps one cohort's aggregate stats.
+  /// Cohort i in build order: with one shard, client i's own cohort of
+  /// one; with more, shard i's cohort of all its clients.
   ClientCohort& client(int i);
   int num_clients() const { return config_.num_clients; }
+  /// Every cohort's ClientStats summed in cohort order (latency Summaries
+  /// merged), at any shard count. The counters cover the whole run; the
+  /// latencies only the time since the warm-up reset (Metrics::reset).
+  ClientStats client_stats() const;
   /// Cross-shard stats issued by every cohort.
   std::uint64_t remote_ops() const;
 

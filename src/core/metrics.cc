@@ -14,6 +14,7 @@ Metrics::Metrics(std::vector<MdsNode*> nodes,
   mds_tput_.resize(nodes_.size());
   mds_health_.resize(nodes_.size());
   base_.resize(nodes_.size());
+  last_.resize(nodes_.size());
 }
 
 Metrics::Counts Metrics::counts_of(MdsNode& node) {
@@ -22,6 +23,7 @@ Metrics::Counts Metrics::counts_of(MdsNode& node) {
   return Counts{s.replies_sent,
                 s.forwards,
                 s.requests_received,
+                s.first_hop_requests,
                 s.failures,
                 c.hits,
                 c.misses,
@@ -30,7 +32,35 @@ Metrics::Counts Metrics::counts_of(MdsNode& node) {
                 s.rejects_sent};
 }
 
+Metrics::Counts& Metrics::Counts::operator+=(const Counts& o) {
+  replies += o.replies;
+  forwards += o.forwards;
+  requests += o.requests;
+  first_hops += o.first_hops;
+  failures += o.failures;
+  hits += o.hits;
+  misses += o.misses;
+  sheds += o.sheds;
+  rejects += o.rejects;
+  return *this;
+}
+
+Metrics::Counts Metrics::Counts::operator-(const Counts& o) const {
+  return Counts{replies - o.replies,     forwards - o.forwards,
+                requests - o.requests,   first_hops - o.first_hops,
+                failures - o.failures,   hits - o.hits,
+                misses - o.misses,       sheds - o.sheds,
+                rejects - o.rejects};
+}
+
 void Metrics::sample(SimTime now) {
+  // Each series value is a counter's growth since the previous sample
+  // (or reset), per second of that window.
+  const SimTime dt = now - last_at_;
+  const auto rate = [dt](std::uint64_t n) {
+    return dt > 0 ? static_cast<double>(n) / to_seconds(dt) : 0.0;
+  };
+  last_at_ = now;
   double sum = 0.0;
   double mn = std::numeric_limits<double>::infinity();
   double mx = 0.0;
@@ -38,19 +68,18 @@ void Metrics::sample(SimTime now) {
   double req_sum = 0.0;
   double shed_sum = 0.0;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    MdsStats& s = nodes_[i]->stats();
-    const double tput = s.reply_rate.sample(now);
-    const double fwd = s.forward_rate.sample(now);
-    const double req = s.request_rate.sample(now);
-    shed_sum += s.shed_rate.sample(now);
-    s.miss_rate.sample(now);  // keep the window aligned
+    const Counts c = counts_of(*nodes_[i]);
+    const Counts d = c - last_[i];
+    last_[i] = c;
+    const double tput = rate(d.replies);
     mds_tput_[i].record(now, tput);
     mds_health_[i].record(now, nodes_[i]->self_health_lag() * 1e-9);
     sum += tput;
     mn = std::min(mn, tput);
     mx = std::max(mx, tput);
-    fwd_sum += fwd;
-    req_sum += req;
+    fwd_sum += rate(d.forwards);
+    req_sum += rate(d.first_hops);
+    shed_sum += rate(d.sheds);
   }
   const double n = static_cast<double>(nodes_.size());
   avg_tput_.record(now, n > 0 ? sum / n : 0.0);
@@ -73,14 +102,10 @@ void Metrics::sample(SimTime now) {
 
 void Metrics::reset(SimTime now) {
   reset_at_ = now;
+  last_at_ = now;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    MdsStats& s = nodes_[i]->stats();
     base_[i] = counts_of(*nodes_[i]);
-    s.reply_rate.sample(now);
-    s.forward_rate.sample(now);
-    s.request_rate.sample(now);
-    s.miss_rate.sample(now);
-    s.shed_rate.sample(now);
+    last_[i] = base_[i];
     nodes_[i]->reset_cpu_depth_stats(now);
   }
   for (ClientStats* c : clients_) c->latency_seconds = Summary{};
@@ -93,16 +118,7 @@ void Metrics::add_totals(Totals& t) const {
   t.since = reset_at_;
   t.nodes += nodes_.size();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Counts now = counts_of(*nodes_[i]);
-    const Counts& base = base_[i];
-    t.replies += now.replies - base.replies;
-    t.forwards += now.forwards - base.forwards;
-    t.requests += now.requests - base.requests;
-    t.failures += now.failures - base.failures;
-    t.hits += now.hits - base.hits;
-    t.misses += now.misses - base.misses;
-    t.sheds += now.sheds - base.sheds;
-    t.rejects += now.rejects - base.rejects;
+    t += counts_of(*nodes_[i]) - base_[i];
     t.prefix_sum += nodes_[i]->cache().prefix_fraction();
   }
   for (const ClientStats* c : clients_) t.latency.merge(c->latency_seconds);
@@ -143,16 +159,6 @@ double Metrics::mean_prefix_fraction() const {
   return totals().prefix_fraction();
 }
 
-double Metrics::mean_cache_fill() const {
-  if (nodes_.empty()) return 0.0;
-  double sum = 0.0;
-  for (MdsNode* n : nodes_) {
-    sum += static_cast<double>(n->cache().size()) /
-           static_cast<double>(n->cache().capacity());
-  }
-  return sum / static_cast<double>(nodes_.size());
-}
-
 double Metrics::overall_forward_fraction() const {
   return totals().forward_fraction();
 }
@@ -162,28 +168,6 @@ Summary Metrics::client_latency() const { return totals().latency; }
 std::uint64_t Metrics::total_replies() const { return totals().replies; }
 
 std::uint64_t Metrics::total_failures() const { return totals().failures; }
-
-std::uint64_t Metrics::total_hedges_fired() const {
-  std::uint64_t total = 0;
-  for (const ClientStats* c : clients_) total += c->hedges_fired;
-  return total;
-}
-
-std::uint64_t Metrics::total_hedge_wins() const {
-  std::uint64_t total = 0;
-  for (const ClientStats* c : clients_) total += c->hedge_wins;
-  return total;
-}
-
-std::uint64_t Metrics::total_wasted_hedges() const {
-  std::uint64_t total = 0;
-  for (const ClientStats* c : clients_) total += c->wasted_hedges;
-  return total;
-}
-
-std::uint64_t Metrics::total_sheds() const { return totals().sheds; }
-
-std::uint64_t Metrics::total_rejects() const { return totals().rejects; }
 
 std::size_t Metrics::cpu_queue_highwater() const {
   std::size_t hw = 0;

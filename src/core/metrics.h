@@ -1,6 +1,10 @@
 // Cluster metrics collection: periodic sampling of per-MDS and
 // cluster-wide rates into time series (figures 5-7) plus end-of-run
-// aggregates (figures 2-4).
+// aggregates (figures 2-4). Both read the same cumulative MDS counters
+// (MdsStats, CacheStats), each incremented once where its event happens:
+// a series value is a counter's growth since the previous sample over
+// that window's length, and a total is its growth since the warm-up
+// reset.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +29,8 @@ class Metrics {
 
   /// Take one sample (called by the cluster on its sampling cadence).
   void sample(SimTime now);
-  /// Zero windowed state at the warmup boundary.
+  /// Re-base the totals and the next sample's window at the warmup
+  /// boundary.
   void reset(SimTime now);
 
   // --- time series (per sample) ------------------------------------------
@@ -38,7 +43,7 @@ class Metrics {
   /// Cluster-wide replies/sec and forwards/sec (figure 7's two series).
   const TimeSeries& reply_rate() const { return reply_rate_; }
   const TimeSeries& forward_rate() const { return forward_rate_; }
-  /// Fraction of client requests that were forwarded (figure 6).
+  /// Forwards over first-hop client requests, per window (figure 6).
   const TimeSeries& forward_fraction() const { return fwd_fraction_; }
   /// Cluster-wide admission sheds/sec (zero with overload protection off).
   const TimeSeries& shed_rate() const { return shed_rate_; }
@@ -49,10 +54,15 @@ class Metrics {
   const TimeSeries& degraded_nodes() const { return degraded_nodes_; }
 
   // --- end-of-run aggregates ----------------------------------------------
-  /// MDS-side counters of one node, or summed over nodes.
+  /// MDS-side counters of one node, or summed over nodes: `first_hops`
+  /// are requests straight from a client, `sheds` all three admission
+  /// shed causes.
   struct Counts {
-    std::uint64_t replies = 0, forwards = 0, requests = 0, failures = 0;
-    std::uint64_t hits = 0, misses = 0, sheds = 0, rejects = 0;
+    std::uint64_t replies = 0, forwards = 0, requests = 0, first_hops = 0;
+    std::uint64_t failures = 0, hits = 0, misses = 0, sheds = 0, rejects = 0;
+
+    Counts& operator+=(const Counts& o);
+    Counts operator-(const Counts& o) const;
   };
   /// Post-reset totals over one or more MDS groups and their clients.
   /// Counts stay integers and the two order-sensitive sums keep node and
@@ -83,21 +93,11 @@ class Metrics {
   double cluster_hit_rate() const;
   /// Mean fraction of cache consumed by prefix inodes (figure 3).
   double mean_prefix_fraction() const;
-  double mean_cache_fill() const;
   /// Total forwarded / total client requests since reset.
   double overall_forward_fraction() const;
   Summary client_latency() const;
   std::uint64_t total_replies() const;
   std::uint64_t total_failures() const;
-  /// Hedged-read counters summed over clients over the whole run, warm-up
-  /// included: reset() does not re-base them (all zero with hedging off).
-  std::uint64_t total_hedges_fired() const;
-  std::uint64_t total_hedge_wins() const;
-  std::uint64_t total_wasted_hedges() const;
-  /// Requests shed at admission (queue bound + token bucket + deadline)
-  /// and explicit rejection replies sent, since the last reset.
-  std::uint64_t total_sheds() const;
-  std::uint64_t total_rejects() const;
   /// CPU queue-depth observers: maximum high-water mark across nodes and
   /// the across-node mean of per-node time-weighted mean depths (both
   /// since the last reset; `cpu_queue_depth()` alone is instantaneous).
@@ -137,6 +137,8 @@ class Metrics {
 
   SimTime reset_at_ = 0;
   std::vector<Counts> base_;  // per node, at the last reset
+  SimTime last_at_ = 0;
+  std::vector<Counts> last_;  // per node, at the last sample or reset
 };
 
 }  // namespace mdsim

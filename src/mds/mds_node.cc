@@ -175,24 +175,6 @@ void MdsNode::on_message(NetAddr from, MessagePtr msg) {
   }
 }
 
-void MdsNode::on_message_batch(Delivery* items, std::size_t n) {
-  if (failed_) return;  // dead nodes answer nothing
-  // Contiguous client-request runs take the amortized path; anything else
-  // goes one message at a time. Processing stays strictly in batch order.
-  std::size_t i = 0;
-  while (i < n) {
-    if (items[i].msg->type == MsgType::kClientRequest) {
-      std::size_t j = i + 1;
-      while (j < n && items[j].msg->type == MsgType::kClientRequest) ++j;
-      handle_client_request_run(items + i, j - i);
-      i = j;
-    } else {
-      on_message(items[i].from, std::move(items[i].msg));
-      ++i;
-    }
-  }
-}
-
 // --------------------------------------------------------------------------
 // Client request path
 // --------------------------------------------------------------------------
@@ -274,7 +256,6 @@ void MdsNode::shed_request(const ClientRequestMsg& msg, NetAddr reply_to,
     case AdmitVerdict::kAdmit:
       return;
   }
-  stats_.shed_rate.add();
   if (ctx_.faults != nullptr) ctx_.faults->note_shed(id_, ctx_.sim.now());
   // A deadline drop answers no one: that client has already timed out and
   // moved on. Queue/bucket sheds get an explicit rejection so the client
@@ -308,13 +289,14 @@ void MdsNode::admit_client_request(ClientRequestMsg&& msg, NetAddr reply_to) {
   route(std::move(req));
 }
 
-void MdsNode::handle_client_request(ClientRequestMsg msg, NetAddr reply_to) {
+void MdsNode::handle_client_request(ClientRequestMsg&& msg,
+                                    NetAddr reply_to) {
   if (is_duplicate_update(msg)) {
     ++stats_.duplicate_updates_dropped;
     return;
   }
   ++stats_.requests_received;
-  if (msg.hops == 0) stats_.request_rate.add();
+  if (msg.hops == 0) ++stats_.first_hop_requests;
   // Overload gate: every entry point checks deadline + queue bounds;
   // the token bucket inside only charges first entries (hops == 0).
   // Forwarded sheds reply straight to the client (reply_to is already
@@ -327,36 +309,6 @@ void MdsNode::handle_client_request(ClientRequestMsg msg, NetAddr reply_to) {
     }
   }
   admit_client_request(std::move(msg), reply_to);
-}
-
-void MdsNode::handle_client_request_run(Delivery* items, std::size_t n) {
-  // Per-message admission is unchanged; only the stats counter updates are
-  // folded into one add per run, which is exact — the counters are plain
-  // sums, so `+= k` equals k increments.
-  std::uint64_t accepted = 0;
-  std::uint64_t first_hop = 0;
-  std::uint64_t dropped = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (failed_) break;  // a mid-batch handler may have killed this node
-    auto& msg = static_cast<ClientRequestMsg&>(*items[i].msg);
-    if (is_duplicate_update(msg)) {
-      ++dropped;
-      continue;
-    }
-    ++accepted;
-    first_hop += msg.hops == 0;
-    if (ctx_.params.overload.enabled) {
-      const AdmitVerdict v = admission_verdict(msg);
-      if (v != AdmitVerdict::kAdmit) {
-        shed_request(msg, items[i].from, v);
-        continue;
-      }
-    }
-    admit_client_request(std::move(msg), items[i].from);
-  }
-  stats_.duplicate_updates_dropped += dropped;
-  stats_.requests_received += accepted;
-  if (first_hop != 0) stats_.request_rate.add(first_hop);
 }
 
 void MdsNode::route(RequestPtr req) {
@@ -448,7 +400,6 @@ void MdsNode::route(RequestPtr req) {
       return;
     }
     ++stats_.forwards;
-    stats_.forward_rate.add();
     auto fwd = std::make_unique<ForwardMsg>();
     fwd->inner = req->msg;
     ++fwd->inner.hops;
@@ -538,12 +489,10 @@ void MdsNode::serve_target(RequestPtr req) {
         finish(req, true, node->ino());
         return;
       }
-      stats_.miss_rate.add();
       // Reads on another node's behalf only happen when we held a
       // replica at route time; it may have been evicted since — forward.
       if (authority_for(node) != id_) {
         ++stats_.forwards;
-        stats_.forward_rate.add();
         auto fwd = std::make_unique<ForwardMsg>();
         fwd->inner = req->msg;
         ++fwd->inner.hops;
@@ -572,7 +521,6 @@ void MdsNode::serve_target(RequestPtr req) {
       CacheEntry* e = cache_.lookup(dir->ino(), ctx_.sim.now());
       if (e != nullptr) cache_.mark_demand_access(e);
       if (e == nullptr) {
-        stats_.miss_rate.add();
         fetch_local(
             dir, InsertKind::kDemand,
             [this, req](CacheEntry* entry) {
@@ -592,7 +540,6 @@ void MdsNode::serve_target(RequestPtr req) {
           return;
         }
         // One object fetch brings in every dentry + embedded inode.
-        stats_.miss_rate.add();
         const std::uint32_t nodes = ctx_.store.full_fetch_nodes(dir);
         pin_entry(req, e);
         disk_.read_object(nodes, disk_span(req), [this, req, dir]() {
@@ -843,7 +790,6 @@ void MdsNode::reply(RequestPtr req, bool success, InodeId result_ino) {
   out->epoch = view_epoch_;
   if (success) fill_hints(req, *out);
   ++stats_.replies_sent;
-  stats_.reply_rate.add();
   ctx_.net.send(id_, req->reply_to, std::move(out));
 }
 

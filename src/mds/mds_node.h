@@ -69,6 +69,7 @@ struct ClusterContext {
 
 struct MdsStats {
   std::uint64_t requests_received = 0;  // client requests (incl. forwarded)
+  std::uint64_t first_hop_requests = 0; // ...of which straight from a client
   std::uint64_t replies_sent = 0;
   std::uint64_t forwards = 0;
   std::uint64_t failures = 0;
@@ -113,13 +114,6 @@ struct MdsStats {
   // GIGA+ incremental directory splitting.
   std::uint64_t giga_redirects_sent = 0;  // stale-bitmap corrections sent
   std::uint64_t dirfrag_resyncs = 0;      // heartbeat-gen catch-up sweeps
-
-  // Windowed rates, sampled by the metrics collector.
-  IntervalRate reply_rate;
-  IntervalRate forward_rate;
-  IntervalRate request_rate;
-  IntervalRate miss_rate;
-  IntervalRate shed_rate;
 };
 
 class MdsNode final : public NetEndpoint {
@@ -136,11 +130,6 @@ class MdsNode final : public NetEndpoint {
   void bootstrap();
 
   void on_message(NetAddr from, MessagePtr msg) override;
-  /// Amortized dispatch for a same-instant delivery batch: contiguous
-  /// client-request runs fold their per-message stats counter updates into
-  /// one add each; everything else takes the one-message path. Semantics
-  /// are identical to delivering the batch one message at a time.
-  void on_message_batch(Delivery* items, std::size_t n) override;
 
   MdsId id() const { return id_; }
   MdsStats& stats() { return stats_; }
@@ -397,8 +386,7 @@ class MdsNode final : public NetEndpoint {
   }
 
   // ---- dispatch (mds_node.cc) -------------------------------------------
-  void handle_client_request(ClientRequestMsg msg, NetAddr reply_to);
-  void handle_client_request_run(Delivery* items, std::size_t n);
+  void handle_client_request(ClientRequestMsg&& msg, NetAddr reply_to);
   /// Duplicate-delivery check for updates; records the req id when new.
   bool is_duplicate_update(const ClientRequestMsg& msg);
   /// Overload admission (only consulted when ctx_.params.overload.enabled

@@ -12,7 +12,8 @@
 // Semantics:
 //  - A timer due at `due` fires at ceil(due / granularity) * granularity:
 //    quantized *up* (never early), by strictly less than one granule.
-//  - Entries within a bucket fire in insertion order (deterministic).
+//  - Entries within a bucket fire in insertion order (deterministic),
+//    one on_fire call each, all inside one engine event.
 //  - Delays beyond the horizon (slots * granularity) are carried with a
 //    lap counter and fire on the correct revolution — arbitrary delays
 //    are exact to the same one-granule bound.
@@ -92,16 +93,6 @@ class TimerWheel {
     }
   }
 
-  /// Install a hook that runs once at the end of every bucket service
-  /// that fired at least one entry. Owners batching per-entry bookkeeping
-  /// (the cohort's turn counters) flush it here: one stats update per
-  /// bucket instead of one per timer, and — since a bucket drains inside a
-  /// single engine event — no other event can ever observe the unflushed
-  /// intermediate state.
-  void set_bucket_end_hook(InlineFunction<void()> hook) {
-    bucket_end_ = std::move(hook);
-  }
-
   /// Live entries, including stale ones not yet fired.
   std::uint64_t armed() const { return armed_count_; }
   std::uint64_t fired() const { return fired_count_; }
@@ -134,7 +125,6 @@ class TimerWheel {
     scratch_.clear();
     scratch_.swap(bucket);
     words_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    std::uint64_t fired_here = 0;
     for (Entry& e : scratch_) {
       if (e.laps > 0) {
         // Not this revolution: put it back for a later lap.
@@ -143,11 +133,9 @@ class TimerWheel {
         continue;
       }
       --armed_count_;
-      ++fired_here;
+      ++fired_count_;
       on_fire_(e.index, e.stamp);
     }
-    fired_count_ += fired_here;
-    if (fired_here != 0 && bucket_end_) bucket_end_();
     schedule_next_from(tick + 1);
   }
 
@@ -185,7 +173,6 @@ class TimerWheel {
 
   Simulation& sim_;
   FireFn on_fire_;
-  InlineFunction<void()> bucket_end_;
   SimTime granularity_;
   std::uint32_t mask_;
   std::vector<std::vector<Entry>> buckets_;

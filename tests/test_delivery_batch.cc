@@ -154,8 +154,9 @@ TEST(DeliveryBatch, DuplicateFaultBypassesBatchingDeterministically) {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster integration: a zero-jitter cluster actually forms batches on the
-// client-request fan-in path; tracing and results must not notice.
+// Cluster integration: a zero-jitter cluster actually forms batches, and a
+// sharded one forms them on the client-request fan-in path too; tracing,
+// results and the MDS request counters must not notice.
 
 SimConfig batch_cluster_config(bool batching) {
   SimConfig cfg;
@@ -166,11 +167,66 @@ SimConfig batch_cluster_config(bool batching) {
   cfg.fs.nodes_per_user = 150;
   cfg.duration = 6 * kSecond;
   cfg.warmup = 2 * kSecond;
-  // No jitter: same-instant fan-in is common, so the batching path (run
-  // splitting, amortized MDS dispatch) really executes.
+  // No jitter: same-instant deliveries are common, so the batching path
+  // really executes.
   cfg.net.jitter_mean = 0;
   cfg.net.delivery_batching = batching;
   cfg.trace.enabled = true;
+  return cfg;
+}
+
+/// Per MDS, the request-path counters a batch of client requests bumps
+/// match between a batched and an unbatched run.
+void expect_same_request_counters(ClusterSim& on, ClusterSim& off) {
+  ASSERT_EQ(on.num_mds(), off.num_mds());
+  for (int i = 0; i < on.num_mds(); ++i) {
+    const MdsStats& a = on.mds(i).stats();
+    const MdsStats& b = off.mds(i).stats();
+    EXPECT_EQ(a.requests_received, b.requests_received) << "mds " << i;
+    EXPECT_EQ(a.first_hop_requests, b.first_hop_requests) << "mds " << i;
+    EXPECT_EQ(a.forwards, b.forwards) << "mds " << i;
+    EXPECT_EQ(a.duplicate_updates_dropped, b.duplicate_updates_dropped)
+        << "mds " << i;
+    EXPECT_EQ(a.requests_shed_queue, b.requests_shed_queue) << "mds " << i;
+    EXPECT_EQ(a.requests_shed_admission, b.requests_shed_admission)
+        << "mds " << i;
+    EXPECT_EQ(a.requests_shed_deadline, b.requests_shed_deadline)
+        << "mds " << i;
+  }
+}
+
+/// A two-shard overloaded cluster whose client links spike past the
+/// request timeout: each shard's clients share one wheel-timed cohort, so
+/// a bucket's requests reach an MDS as one same-instant batch, and some of
+/// those batches carry first-hop requests that the MDS drops as
+/// duplicates or sheds for each of the three reasons.
+void run_overloaded_pair(ClusterSim& on, ClusterSim& off) {
+  for (ClusterSim* c : {&on, &off}) {
+    c->run_until(0);
+    LinkFault spike;
+    spike.spike = 0.3;
+    spike.spike_latency = kSecond;
+    for (int s = 0; s < c->num_shards(); ++s) {
+      Network& net = *c->cell(s).net;
+      const int mds = c->cell(s).num_mds();
+      for (int a = mds; a < static_cast<int>(net.endpoint_count()); ++a) {
+        for (int b = 0; b < mds; ++b) net.set_link_fault(a, b, spike);
+      }
+    }
+    c->run();
+  }
+}
+
+SimConfig overloaded_config(bool batching) {
+  SimConfig cfg = batch_cluster_config(batching);
+  cfg.num_mds = 6;
+  cfg.shards = 2;
+  cfg.num_clients = 1200;
+  cfg.mds.overload.enabled = true;
+  cfg.mds.overload.admit_rate = 300;
+  cfg.mds.overload.admit_burst = 8;
+  cfg.mds.overload.max_cpu_queue_depth = 2;
+  cfg.client_retry.request_timeout = 300 * kMillisecond;
   return cfg;
 }
 
@@ -179,6 +235,7 @@ TEST(DeliveryBatch, ClusterResultsAndTraceTilingUnchangedByBatching) {
   on.run();
   ClusterSim off(batch_cluster_config(false));
   off.run();
+  expect_same_request_counters(on, off);
 
   // Simulation-observable results identical.
   EXPECT_GT(on.metrics().total_replies(), 1000u);
@@ -206,6 +263,27 @@ TEST(DeliveryBatch, ClusterResultsAndTraceTilingUnchangedByBatching) {
     }
     EXPECT_EQ(stage_sum, ta->total_ns(o)) << "op " << op_name(o);
   }
+
+  // Where client-request batches shed and drop duplicates, every
+  // request-path counter still matches the one-at-a-time run.
+  ClusterSim hot_on(overloaded_config(true));
+  ClusterSim hot_off(overloaded_config(false));
+  run_overloaded_pair(hot_on, hot_off);
+  std::uint64_t dups = 0, queue = 0, bucket = 0, deadline = 0;
+  for (int i = 0; i < hot_off.num_mds(); ++i) {
+    const MdsStats& st = hot_off.mds(i).stats();
+    dups += st.duplicate_updates_dropped;
+    queue += st.requests_shed_queue;
+    bucket += st.requests_shed_admission;
+    deadline += st.requests_shed_deadline;
+  }
+  EXPECT_GT(dups, 0u);
+  EXPECT_GT(queue, 0u);
+  EXPECT_GT(bucket, 0u);
+  EXPECT_GT(deadline, 0u);
+  expect_same_request_counters(hot_on, hot_off);
+  EXPECT_EQ(hot_on.engine().events_executed(),
+            hot_off.engine().events_executed());
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "client/cohort.h"
 #include "test_util.h"
 
@@ -158,6 +161,75 @@ TEST(Metrics, ResetOverCohortStatsCountsOnlyLaterReplies) {
   EXPECT_GT(m.client_latency().count(), 0u);
 }
 
+// The series and the totals read the same cumulative counters: each
+// sample is a counter's growth over its window, so per window a node's
+// throughput times the window is its replies_sent growth, the forward
+// fraction is forwards over first-hop requests, and over the post-warm-up
+// samples the series add back up to the totals.
+TEST(Metrics, SeriesAreCounterDeltasOfEachWindow) {
+  SimConfig cfg = metrics_config();
+  cfg.strategy = StrategyKind::kDynamicSubtree;  // forwards happen
+  ClusterSim cluster(cfg);
+  auto snapshot = [&cluster]() {
+    std::vector<MdsStats> out;
+    for (int i = 0; i < cluster.num_mds(); ++i) {
+      out.push_back(cluster.mds(i).stats());
+    }
+    return out;
+  };
+  auto replies_of = [](double rate, SimTime window) {
+    return static_cast<std::uint64_t>(
+        std::llround(rate * to_seconds(window)));
+  };
+
+  cluster.run_until(cfg.warmup);  // the reset fires at the warm-up instant
+  Metrics& m = cluster.metrics();
+  const std::vector<MdsStats> at_reset = snapshot();
+  std::vector<MdsStats> last = at_reset;
+  std::uint64_t forwards = 0;
+  for (SimTime t = cfg.warmup + cfg.sample_period; t <= cfg.duration;
+       t += cfg.sample_period) {
+    cluster.run_until(t);
+    const std::vector<MdsStats> now = snapshot();
+    std::uint64_t fwd = 0, first = 0;
+    for (int i = 0; i < cluster.num_mds(); ++i) {
+      const auto& p = m.per_mds_throughput()[static_cast<std::size_t>(i)]
+                          .points()
+                          .back();
+      const auto k = static_cast<std::size_t>(i);
+      ASSERT_EQ(p.time, t);
+      EXPECT_EQ(replies_of(p.value, cfg.sample_period),
+                now[k].replies_sent - last[k].replies_sent)
+          << "mds " << i << " at " << to_seconds(t);
+      fwd += now[k].forwards - last[k].forwards;
+      first += now[k].first_hop_requests - last[k].first_hop_requests;
+    }
+    const double want =
+        first > 0 ? static_cast<double>(fwd) / static_cast<double>(first)
+                  : 0.0;
+    EXPECT_NEAR(m.forward_fraction().points().back().value, want, 1e-12)
+        << "at " << to_seconds(t);
+    forwards += fwd;
+    last = now;
+  }
+  EXPECT_GT(forwards, 0u);
+
+  std::uint64_t replies = 0;
+  for (int i = 0; i < cluster.num_mds(); ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    double sum = 0.0;
+    for (const auto& p : m.per_mds_throughput()[k].points()) {
+      if (p.time > cfg.warmup) sum += p.value;
+    }
+    const std::uint64_t post_reset =
+        last[k].replies_sent - at_reset[k].replies_sent;
+    EXPECT_GT(post_reset, 0u) << "mds " << i;
+    EXPECT_EQ(replies_of(sum, cfg.sample_period), post_reset) << "mds " << i;
+    replies += post_reset;
+  }
+  EXPECT_EQ(m.total_replies(), replies);
+}
+
 TEST(Metrics, ClientLatencyAggregated) {
   ClusterSim cluster(metrics_config());
   cluster.run();
@@ -173,8 +245,15 @@ TEST(Metrics, PrefixFractionAndFillInRange) {
   Metrics& m = cluster.metrics();
   EXPECT_GE(m.mean_prefix_fraction(), 0.0);
   EXPECT_LE(m.mean_prefix_fraction(), 1.0);
-  EXPECT_GT(m.mean_cache_fill(), 0.0);
-  EXPECT_LE(m.mean_cache_fill(), 1.1);
+  double fill = 0.0;
+  for (int i = 0; i < cluster.num_mds(); ++i) {
+    const MetadataCache& cache = cluster.mds(i).cache();
+    fill += static_cast<double>(cache.size()) /
+            static_cast<double>(cache.capacity());
+  }
+  fill /= cluster.num_mds();
+  EXPECT_GT(fill, 0.0);
+  EXPECT_LE(fill, 1.1);
 }
 
 }  // namespace

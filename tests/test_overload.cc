@@ -136,8 +136,8 @@ TEST(OverloadGate, BurstBeyondQueueBoundShedsWithRetryAfter) {
   EXPECT_EQ(st.requests_shed_deadline, 0u);
   EXPECT_EQ(st.rejects_sent, rejected);
   EXPECT_EQ(cluster.fault_log().total_sheds(), rejected);
-  EXPECT_EQ(cluster.metrics().total_sheds(), rejected);
-  EXPECT_EQ(cluster.metrics().total_rejects(), rejected);
+  EXPECT_EQ(cluster.metrics().totals().sheds, rejected);
+  EXPECT_EQ(cluster.metrics().totals().rejects, rejected);
   // The depth observer saw the burst.
   EXPECT_GE(cluster.metrics().cpu_queue_highwater(), 2u);
 }
@@ -180,7 +180,7 @@ TEST(OverloadGate, ForwardedArrivalsFaceTheAuthoritysQueueBound) {
   EXPECT_TRUE(r->rejected);
   EXPECT_EQ(r->hops, 1u);
   // Cluster totals aggregate both nodes' counters.
-  EXPECT_EQ(cluster.metrics().total_sheds(),
+  EXPECT_EQ(cluster.metrics().totals().sheds,
             cluster.mds(0).stats().requests_shed_queue +
                 cluster.mds(1).stats().requests_shed_queue +
                 cluster.mds(2).stats().requests_shed_queue);
@@ -304,8 +304,8 @@ TEST(OverloadGate, VacuousLimitsAreByteIdenticalToDisabled) {
   EXPECT_EQ(off.metrics().client_latency().sum(),
             noop.metrics().client_latency().sum());
   EXPECT_EQ(off.sim().events_executed(), noop.sim().events_executed());
-  EXPECT_EQ(noop.metrics().total_sheds(), 0u);
-  EXPECT_EQ(noop.metrics().total_rejects(), 0u);
+  EXPECT_EQ(noop.metrics().totals().sheds, 0u);
+  EXPECT_EQ(noop.metrics().totals().rejects, 0u);
 }
 
 // --- sharded engine ------------------------------------------------------

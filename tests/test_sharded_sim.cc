@@ -331,6 +331,66 @@ TEST(ClusterSim, ShardedCellsSampleTimeSeries) {
   }
 }
 
+// client_stats() is the whole run's client tally at any shard count: the
+// per-client sum at one shard, the per-shard cohorts' sum at two.
+TEST(ClusterSim, ClientStatsSumsEveryCohort) {
+  // Field by field, latencies merged in cohort order.
+  auto add = [](ClientStats& t, const ClientStats& s) {
+    t.ops_issued += s.ops_issued;
+    t.ops_completed += s.ops_completed;
+    t.ops_ok += s.ops_ok;
+    t.ops_failed += s.ops_failed;
+    t.forwarded_replies += s.forwarded_replies;
+    t.retries += s.retries;
+    t.stale_replies += s.stale_replies;
+    t.rejected_replies += s.rejected_replies;
+    t.retries_suppressed += s.retries_suppressed;
+    t.giga_redirects += s.giga_redirects;
+    t.hedges_fired += s.hedges_fired;
+    t.hedge_wins += s.hedge_wins;
+    t.wasted_hedges += s.wasted_hedges;
+    t.latency_seconds.merge(s.latency_seconds);
+  };
+  auto expect_same = [](const ClientStats& a, const ClientStats& b) {
+    EXPECT_EQ(a.ops_issued, b.ops_issued);
+    EXPECT_EQ(a.ops_completed, b.ops_completed);
+    EXPECT_EQ(a.ops_ok, b.ops_ok);
+    EXPECT_EQ(a.ops_failed, b.ops_failed);
+    EXPECT_EQ(a.forwarded_replies, b.forwarded_replies);
+    EXPECT_EQ(a.retries, b.retries);
+    EXPECT_EQ(a.stale_replies, b.stale_replies);
+    EXPECT_EQ(a.rejected_replies, b.rejected_replies);
+    EXPECT_EQ(a.retries_suppressed, b.retries_suppressed);
+    EXPECT_EQ(a.giga_redirects, b.giga_redirects);
+    EXPECT_EQ(a.hedges_fired, b.hedges_fired);
+    EXPECT_EQ(a.hedge_wins, b.hedge_wins);
+    EXPECT_EQ(a.wasted_hedges, b.wasted_hedges);
+    EXPECT_EQ(a.latency_seconds.count(), b.latency_seconds.count());
+    EXPECT_EQ(a.latency_seconds.mean(), b.latency_seconds.mean());
+    EXPECT_EQ(a.latency_seconds.variance(), b.latency_seconds.variance());
+    EXPECT_EQ(a.latency_seconds.min(), b.latency_seconds.min());
+    EXPECT_EQ(a.latency_seconds.max(), b.latency_seconds.max());
+  };
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE(shards);
+    SimConfig cfg = two_shard_config();
+    cfg.shards = shards;
+    cfg.hedge.enabled = true;
+    ClusterSim cluster(cfg);
+    cluster.run();
+    const int cohorts = shards == 1 ? cluster.num_clients() : shards;
+    ClientStats want;
+    for (int k = 0; k < cohorts; ++k) add(want, cluster.client(k).stats());
+    const ClientStats got = cluster.client_stats();
+    EXPECT_GT(got.ops_completed, 0u);
+    EXPECT_GT(got.latency_seconds.count(), 0u);
+    expect_same(got, want);
+    // The latencies are the ones the cells' Metrics total.
+    EXPECT_EQ(got.latency_seconds.mean() * 1e3,
+              cluster.result().mean_latency_ms);
+  }
+}
+
 // Set-up runs on the engine's workers: the cells, cohorts, catalogs and
 // start-up a cluster builds on 3 or 8 threads are those of a serial build.
 TEST(ClusterSim, ParallelBuildMatchesSerialBuild) {

@@ -142,11 +142,7 @@ TEST(MigrationChurn, RepeatedForcedMigrationsStayConsistent) {
     expect_caches_sane(cluster);
   }
   // Clients kept completing ops throughout the churn.
-  std::uint64_t completed = 0;
-  for (int c = 0; c < cluster.num_clients(); ++c) {
-    completed += cluster.client(c).stats().ops_completed;
-  }
-  EXPECT_GT(completed, 1000u);
+  EXPECT_GT(cluster.client_stats().ops_completed, 1000u);
 }
 
 TEST(WorkloadSoup, AllWorkloadsRunOnAllStrategiesBriefly) {

@@ -3,7 +3,7 @@
 
 Usage:
     tools/bench_compare.py OLD.json NEW.json [--filter REGEX]
-                           [--min-ratio R]
+                           [--min-ratio R|auto]
 
 Prints a per-benchmark table of old/new time and the speedup ratio
 (old_time / new_time, so >1 means NEW is faster). When a file contains
@@ -11,8 +11,13 @@ repetition aggregates, the `_mean` rows are used and raw repetitions are
 ignored; otherwise the plain rows are used. Benchmarks present in only
 one file are listed separately.
 
-With --min-ratio, exits non-zero if any compared benchmark's speedup
-falls below R — usable as a CI regression gate.
+With --min-ratio, exits 1 if any compared benchmark's speedup falls
+below R — usable as a CI regression gate. --min-ratio=auto takes each
+benchmark's threshold from its measured spread instead: 1 - (cv_old +
+cv_new), where cv = stddev / mean of real_time from the `_stddev` and
+`_mean` repetition aggregates (--benchmark_repetitions=N). A slowdown
+within the two runs' combined noise passes; auto exits 2 when either
+file lacks those aggregates for a compared benchmark.
 """
 
 import argparse
@@ -22,11 +27,14 @@ import sys
 
 
 def load_benchmarks(path):
-    """Return {name: benchmark-dict}, preferring `_mean` aggregates."""
+    """Return ({name: benchmark-dict}, {name: cv}), preferring `_mean`
+    aggregates; cv (stddev / mean of real_time) only for benchmarks with
+    both `_mean` and `_stddev` aggregates."""
     with open(path) as f:
         data = json.load(f)
     rows = data.get("benchmarks", [])
     means = {}
+    stddevs = {}
     plain = {}
     for b in rows:
         name = b.get("name", "")
@@ -34,13 +42,21 @@ def load_benchmarks(path):
         if run_type == "aggregate":
             if b.get("aggregate_name") == "mean":
                 means[name.removesuffix("_mean")] = b
+            elif b.get("aggregate_name") == "stddev":
+                stddevs[name.removesuffix("_stddev")] = b
         else:
             plain[name] = b
     # Aggregates win: if a benchmark was run with repetitions, its raw
     # repetition rows describe single reps, not the summary.
     merged = dict(plain)
     merged.update(means)
-    return merged
+    cvs = {n: stddevs[n]["real_time"] / m["real_time"]
+           for n, m in means.items() if n in stddevs and m["real_time"]}
+    return merged, cvs
+
+
+def parse_min_ratio(text):
+    return text if text == "auto" else float(text)
 
 
 def fmt_time(b):
@@ -71,12 +87,14 @@ def main():
     ap.add_argument("new", help="candidate benchmark JSON")
     ap.add_argument("--filter", default="", metavar="REGEX",
                     help="only compare benchmarks matching REGEX")
-    ap.add_argument("--min-ratio", type=float, default=None, metavar="R",
-                    help="fail (exit 1) if any speedup ratio is below R")
+    ap.add_argument("--min-ratio", type=parse_min_ratio, default=None,
+                    metavar="R|auto",
+                    help="fail (exit 1) if any speedup ratio is below R; "
+                         "auto: below 1 - (cv_old + cv_new)")
     args = ap.parse_args()
 
-    old = load_benchmarks(args.old)
-    new = load_benchmarks(args.new)
+    old, old_cv = load_benchmarks(args.old)
+    new, new_cv = load_benchmarks(args.new)
     if args.filter:
         rx = re.compile(args.filter)
         old = {k: v for k, v in old.items() if rx.search(k)}
@@ -86,6 +104,14 @@ def main():
     if not common:
         print("no common benchmarks to compare", file=sys.stderr)
         return 1
+    auto = args.min_ratio == "auto"
+    if auto:
+        lacking = [n for n in common if n not in old_cv or n not in new_cv]
+        if lacking:
+            print("--min-ratio=auto needs _mean and _stddev aggregates in "
+                  "both files (--benchmark_repetitions=N); missing for: "
+                  + ", ".join(lacking), file=sys.stderr)
+            return 2
 
     name_w = max(len(n) for n in common)
     header = (f"{'benchmark':<{name_w}}  {'old':>12}  {'new':>12}  "
@@ -94,6 +120,7 @@ def main():
     print("-" * len(header))
 
     worst = None
+    failed = []
     for name in common:
         ob, nb = old[name], new[name]
         if ob.get("time_unit", "ns") != nb.get("time_unit", "ns"):
@@ -101,16 +128,28 @@ def main():
             continue
         ratio = ob["real_time"] / nb["real_time"] if nb["real_time"] else 0.0
         worst = ratio if worst is None else min(worst, ratio)
+        bar = ""
+        if auto:
+            floor = 1.0 - (old_cv[name] + new_cv[name])
+            bar = f"  (min {floor:.2f}x)"
+            if ratio < floor:
+                failed.append(f"{name} {ratio:.2f}x < {floor:.2f}x")
         print(f"{name:<{name_w}}  {fmt_time(ob):>12}  {fmt_time(nb):>12}  "
               f"{ratio:>7.2f}x  {fmt_rate(ob):>10}  {fmt_rate(nb):>10}"
-              f"{fmt_scale(nb)}")
+              f"{fmt_scale(nb)}{bar}")
 
     for name in sorted(set(old) - set(new)):
         print(f"{name:<{name_w}}  only in {args.old}")
     for name in sorted(set(new) - set(old)):
         print(f"{name:<{name_w}}  only in {args.new}")
 
-    if args.min_ratio is not None and worst is not None:
+    if auto:
+        if failed:
+            print("\nFAIL: slower than the measured spread allows: "
+                  + "; ".join(failed), file=sys.stderr)
+            return 1
+        print("\nOK: every speedup is within its measured spread")
+    elif args.min_ratio is not None and worst is not None:
         if worst < args.min_ratio:
             print(f"\nFAIL: worst speedup {worst:.2f}x is below "
                   f"--min-ratio {args.min_ratio}", file=sys.stderr)
