@@ -154,20 +154,21 @@ Outcome run_arm(const SimConfig& cfg, const FaultPlan* plan) {
   const SimTime m0 = measure_from(cfg);
   cluster.run_until(m0);
   // Steady-state window: drop the healthy plateau and the mitigation
-  // transient from the latency histograms.
+  // transient from the latency histograms, and count client events from
+  // here on only.
   cluster.tracer()->reset();
-  const std::uint64_t ok0 = cluster.client_stats().ops_ok;
+  const ClientStats at_m0 = cluster.client_stats();
   cluster.run_until(cfg.duration);
 
   Outcome out;
   out.lat = tail_latency(cluster);
   const ClientStats clients = cluster.client_stats();
-  out.goodput = static_cast<double>(clients.ops_ok - ok0) /
+  out.goodput = static_cast<double>(clients.ops_ok - at_m0.ops_ok) /
                 to_seconds(cfg.duration - m0);
-  out.hedges = clients.hedges_fired;
-  out.hedge_wins = clients.hedge_wins;
-  out.wasted = clients.wasted_hedges;
-  out.stale = clients.stale_replies;
+  out.hedges = clients.hedges_fired - at_m0.hedges_fired;
+  out.hedge_wins = clients.hedge_wins - at_m0.hedge_wins;
+  out.wasted = clients.wasted_hedges - at_m0.wasted_hedges;
+  out.stale = clients.stale_replies - at_m0.stale_replies;
   out.gray_seconds =
       cluster.fault_log().gray_degraded_seconds(cluster.sim().now());
   out.gray_incidents = cluster.fault_log().gray_incidents().size();

@@ -13,8 +13,7 @@
 // with tools/bench_compare.py; `real_time` is the median end-to-end
 // wall) with the host's CPU count and build type, and a determinism CSV:
 // the CSV carries only simulation-derived values, so two runs of the same
-// rung — at any two thread counts, batching on or off — must produce
-// byte-identical rows.
+// rung — at any two thread counts — must produce byte-identical rows.
 //
 // Flags:
 //   --quick          CI shape: 2 400 / 24 000 clients, short horizon
@@ -22,7 +21,6 @@
 //   --threads=N,M    thread sweep for the sharded rungs (default 1)
 //   --reps=N         run every rung N times (default 1)
 //   --no-legacy      skip the monolithic engine rung
-//   --no-batching    disable same-destination delivery batching
 //   --tag=NAME       suffix for the CSV file name
 #include <algorithm>
 #include <chrono>
@@ -95,14 +93,13 @@ struct Timing {
 /// rungs run shorter simulated horizons — the point is wall-clock per
 /// simulated op at scale, not a long steady state.
 SimConfig rung_config(int clients, int shards, int threads,
-                      SimTime duration, SimTime warmup, bool batching) {
+                      SimTime duration, SimTime warmup) {
   SimConfig cfg = scaled_system_config(StrategyKind::kDynamicSubtree, 8);
   cfg.num_clients = clients;
   cfg.duration = duration;
   cfg.warmup = warmup;
   cfg.shards = shards;
   cfg.threads = threads;
-  cfg.net.delivery_batching = batching;
   return cfg;
 }
 
@@ -235,7 +232,6 @@ int run(int argc, char** argv) {
   bool quick = false;
   bool ladder = false;
   bool skip_legacy = false;
-  bool batching = true;
   std::vector<int> threads{1};
   int reps = 1;
   std::string tag;
@@ -244,7 +240,6 @@ int run(int argc, char** argv) {
     if (arg == "--quick") quick = true;
     else if (arg == "--ladder") ladder = true;
     else if (arg == "--no-legacy") skip_legacy = true;
-    else if (arg == "--no-batching") batching = false;
     else if (arg.rfind("--threads=", 0) == 0)
       threads = parse_threads(arg.substr(10));
     else if (arg.rfind("--reps=", 0) == 0)
@@ -271,7 +266,7 @@ int run(int argc, char** argv) {
   if (!skip_legacy) {
     std::cout << "  [legacy_monolithic] running...\n";
     rows.push_back(run_rung(
-        rung_config(base_clients, 1, 1, base_dur, base_warm, batching),
+        rung_config(base_clients, 1, 1, base_dur, base_warm),
         "legacy_monolithic", reps));
     announce(rows.back());
   }
@@ -279,7 +274,7 @@ int run(int argc, char** argv) {
     const std::string name = "sharded_x8_t" + std::to_string(t);
     std::cout << "  [" << name << "] running...\n";
     rows.push_back(run_rung(
-        rung_config(base_clients, 8, t, base_dur, base_warm, batching),
+        rung_config(base_clients, 8, t, base_dur, base_warm),
         name, reps));
     announce(rows.back());
   }
@@ -307,7 +302,7 @@ int run(int argc, char** argv) {
                                  std::to_string(r.clients);
         std::cout << "  [" << name << "] running...\n";
         rows.push_back(run_rung(
-            rung_config(r.clients, 8, t, r.duration, r.warmup, batching),
+            rung_config(r.clients, 8, t, r.duration, r.warmup),
             name, reps));
         announce(rows.back());
       }
@@ -316,10 +311,9 @@ int run(int argc, char** argv) {
 
   for (const Timing& t : rows) csv_row(csv, t);
 
-  // The JSON is only rewritten by full (non-quick, batching-on) runs:
-  // quick CI sweeps and A/B toggles must not clobber the committed
-  // baseline numbers.
-  if (!quick && batching) {
+  // The JSON is only rewritten by full (non-quick) runs: quick CI sweeps
+  // must not clobber the committed baseline numbers.
+  if (!quick) {
     const std::string json = results_dir() + "/BENCH_sim_scale.json";
     std::ofstream out(json);
     out << "{\n  \"context\": {\n"

@@ -36,12 +36,6 @@ struct NetworkParams {
   /// can execute per synchronization window.
   SimTime cross_base_latency = from_micros(1200);
   std::uint64_t seed = 7;
-  /// Fold same-instant deliveries to one destination into a single engine
-  /// event (drained through NetEndpoint::on_message_batch). Observable
-  /// behaviour — delivery order, timestamps, engine event counters — is
-  /// identical with this off; it only removes per-message heap/schedule
-  /// overhead. Off is the reference path for equivalence tests.
-  bool delivery_batching = true;
 };
 
 /// Per-link fault injection knobs (chaos harness). Probabilities are per
@@ -167,20 +161,10 @@ class Network {
   void deliver_remote(NetAddr global_from, NetAddr global_to, MessagePtr msg);
 
  private:
-  /// A pending same-instant delivery group for one destination. Owned by
-  /// the arena below (so messages in never-fired batches are reclaimed at
-  /// teardown regardless of engine/network destruction order); the
-  /// scheduled event holds only a raw pointer.
-  struct DeliveryBatch {
-    NetAddr to = kInvalidAddr;
-    SimTime deliver_at = 0;
-    std::vector<NetEndpoint::Delivery> items;
-  };
-
-  DeliveryBatch* alloc_batch();
-  void deliver_batch(DeliveryBatch* b);
-  void schedule_delivery(NetAddr from, NetAddr to, SimTime latency,
-                         MessagePtr msg);
+  /// Schedule one delivery of `msg` to `dst`, `latency` from now: every
+  /// message is its own engine event.
+  void deliver(NetEndpoint* dst, NetAddr from, SimTime latency,
+               MessagePtr msg);
 
   void send_cross(NetAddr from, NetAddr global_to, MessagePtr msg);
   static std::uint64_t link_key(NetAddr a, NetAddr b) {
@@ -224,16 +208,6 @@ class Network {
   /// FIFO floors for cross-shard traffic, keyed (global_from<<32)|global_to
   /// — sparse map because global pairs span shards.
   std::unordered_map<std::uint64_t, SimTime> cross_floor_;
-  /// Delivery batching state: the most recently scheduled batch is "open"
-  /// for appends while (a) destination and delivery instant match and
-  /// (b) the engine's sequence counter has not advanced since — i.e. no
-  /// other event could interleave between the batch and the would-be
-  /// individual delivery. The arena owns every batch ever allocated;
-  /// drained batches return to the free list.
-  std::vector<std::unique_ptr<DeliveryBatch>> batch_arena_;
-  std::vector<DeliveryBatch*> batch_free_;
-  DeliveryBatch* open_batch_ = nullptr;
-  std::uint64_t open_expect_seq_ = 0;
 };
 
 }  // namespace mdsim

@@ -90,6 +90,14 @@ TEST_F(FaultInjectionTest, DuplicateOneDeliversExactlyTwice) {
     ++seen[static_cast<std::size_t>(a.payload)];
   }
   for (int c : seen) EXPECT_EQ(c, 2);
+  // Originals arrive after one base latency in send order; each copy one
+  // base latency after its original.
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(nodes_[1].arrivals[i].payload, i);
+    EXPECT_EQ(nodes_[1].arrivals[i].at, 100u);
+    EXPECT_EQ(nodes_[1].arrivals[i + 5].payload, i);
+    EXPECT_EQ(nodes_[1].arrivals[i + 5].at, 200u);
+  }
   EXPECT_EQ(net_->fault_counters().duplicated, 5u);
 }
 

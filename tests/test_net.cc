@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "net/network.h"
@@ -67,6 +68,26 @@ TEST_F(NetworkTest, CountsByType) {
   EXPECT_EQ(net_->total_messages(), 3u);
   net_->reset_counters();
   EXPECT_EQ(net_->total_messages(), 0u);
+}
+
+TEST_F(NetworkTest, SameInstantDeliveriesAreOneEventEach) {
+  // Zero jitter: all three land on node 2 at the same instant.
+  net_->send(addrs_[0], addrs_[2], make(MsgType::kHeartbeat));
+  net_->send(addrs_[1], addrs_[2], make(MsgType::kClientRequest));
+  net_->send(addrs_[0], addrs_[2], make(MsgType::kClientReply));
+  EXPECT_EQ(sim_.events_pending(), 3u);
+  const std::uint64_t before = sim_.events_executed();
+  sim_.run();
+  EXPECT_EQ(sim_.events_executed() - before, 3u);
+  ASSERT_EQ(nodes_[2].arrivals.size(), 3u);
+  const NetAddr from[] = {addrs_[0], addrs_[1], addrs_[0]};
+  const MsgType type[] = {MsgType::kHeartbeat, MsgType::kClientRequest,
+                          MsgType::kClientReply};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(nodes_[2].arrivals[i].from, from[i]) << i;
+    EXPECT_EQ(nodes_[2].arrivals[i].type, type[i]) << i;
+    EXPECT_EQ(nodes_[2].arrivals[i].at, 100u) << i;
+  }
 }
 
 TEST(NetworkFifo, PerPairOrderPreservedDespiteJitter) {

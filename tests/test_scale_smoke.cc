@@ -1,9 +1,9 @@
 // Large-cohort smoke: one hundred thousand clients through the sharded
 // engine on a short horizon. Not a benchmark — this guards the scale
-// path's invariants (dense per-client state, wheel-batched cohort stats,
-// delivery batching, catalog sampling) at a population two orders of
-// magnitude past the unit tests, and checks the run is bit-identical
-// across worker-thread counts.
+// path's invariants (dense per-client state, wheel-timed cohorts,
+// catalog sampling) at a population two orders of magnitude past the
+// unit tests, and checks the run is bit-identical across worker-thread
+// counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>

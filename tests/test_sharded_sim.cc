@@ -272,6 +272,87 @@ TEST(ShardedSim, ClusterResultsIdenticalAcrossThreadCounts) {
   EXPECT_GT(r1.replies, 0u);
 }
 
+// A two-shard overloaded cluster whose client links spike past the request
+// timeout: each shard's clients share one wheel-timed cohort, and with no
+// jitter many requests reach an MDS at the same instant, so same-instant
+// tie-breaks decide which are dropped as duplicates and which are shed for
+// each of the three reasons. Thread count must not change any of it.
+SimConfig overloaded_config(int threads) {
+  SimConfig cfg;
+  cfg.strategy = StrategyKind::kDynamicSubtree;
+  cfg.num_mds = 6;
+  cfg.shards = 2;
+  cfg.threads = threads;
+  cfg.num_clients = 1200;
+  cfg.fs.num_users = 12;
+  cfg.fs.nodes_per_user = 150;
+  cfg.duration = 6 * kSecond;
+  cfg.warmup = 2 * kSecond;
+  cfg.net.jitter_mean = 0;
+  cfg.trace.enabled = true;
+  cfg.mds.overload.enabled = true;
+  cfg.mds.overload.admit_rate = 300;
+  cfg.mds.overload.admit_burst = 8;
+  cfg.mds.overload.max_cpu_queue_depth = 2;
+  cfg.client_retry.request_timeout = 300 * kMillisecond;
+  return cfg;
+}
+
+void run_overloaded(ClusterSim& c) {
+  c.run_until(0);
+  LinkFault spike;
+  spike.spike = 0.3;
+  spike.spike_latency = kSecond;
+  for (int s = 0; s < c.num_shards(); ++s) {
+    Network& net = *c.cell(s).net;
+    const int mds = c.cell(s).num_mds();
+    for (int a = mds; a < static_cast<int>(net.endpoint_count()); ++a) {
+      for (int b = 0; b < mds; ++b) net.set_link_fault(a, b, spike);
+    }
+  }
+  c.run();
+}
+
+/// Per MDS, the request-path counters match between two runs.
+void expect_same_request_counters(ClusterSim& x, ClusterSim& y) {
+  ASSERT_EQ(x.num_mds(), y.num_mds());
+  for (int i = 0; i < x.num_mds(); ++i) {
+    const MdsStats& a = x.mds(i).stats();
+    const MdsStats& b = y.mds(i).stats();
+    EXPECT_EQ(a.requests_received, b.requests_received) << "mds " << i;
+    EXPECT_EQ(a.first_hop_requests, b.first_hop_requests) << "mds " << i;
+    EXPECT_EQ(a.forwards, b.forwards) << "mds " << i;
+    EXPECT_EQ(a.duplicate_updates_dropped, b.duplicate_updates_dropped)
+        << "mds " << i;
+    EXPECT_EQ(a.requests_shed_queue, b.requests_shed_queue) << "mds " << i;
+    EXPECT_EQ(a.requests_shed_admission, b.requests_shed_admission)
+        << "mds " << i;
+    EXPECT_EQ(a.requests_shed_deadline, b.requests_shed_deadline)
+        << "mds " << i;
+  }
+}
+
+TEST(ShardedSim, OverloadedClusterIdenticalAcrossThreadCounts) {
+  ClusterSim one(overloaded_config(1));
+  ClusterSim two(overloaded_config(2));
+  run_overloaded(one);
+  run_overloaded(two);
+  std::uint64_t dups = 0, queue = 0, bucket = 0, deadline = 0;
+  for (int i = 0; i < one.num_mds(); ++i) {
+    const MdsStats& st = one.mds(i).stats();
+    dups += st.duplicate_updates_dropped;
+    queue += st.requests_shed_queue;
+    bucket += st.requests_shed_admission;
+    deadline += st.requests_shed_deadline;
+  }
+  EXPECT_GT(dups, 0u);
+  EXPECT_GT(queue, 0u);
+  EXPECT_GT(bucket, 0u);
+  EXPECT_GT(deadline, 0u);
+  expect_same_request_counters(one, two);
+  EXPECT_EQ(one.engine().events_executed(), two.engine().events_executed());
+}
+
 // A spike-on-baseline flash crowd (base_think > 0) carries its background
 // load on every shard: with the run ending before the crowd starts, the
 // clients still complete work instead of idling until the crowd.
